@@ -120,7 +120,8 @@ func main() {
 	if err != nil {
 		log.Fatalf("pipeserve: open: %v", err)
 	}
-	srv := &http.Server{Addr: *addr, Handler: s.Handler()}
+	srv := newHTTPServer(s.Handler())
+	srv.Addr = *addr
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
@@ -151,6 +152,17 @@ func main() {
 	}
 }
 
+// readHeaderTimeout bounds how long a connection may take to deliver one
+// request's headers; without it a client that connects and never
+// finishes its request line pins a goroutine forever. It starts at a
+// request's first byte, so keep-alive connections idling between
+// requests are not subject to it.
+const readHeaderTimeout = 5 * time.Second
+
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout}
+}
+
 // runSmoke drives the server end to end over a real loopback socket: a
 // mixed mutation/read batch, a metrics scrape asserting scheduler
 // activity, and a clean drain.
@@ -160,7 +172,7 @@ func runSmoke(cfg serve.Config) error {
 	if err != nil {
 		return fmt.Errorf("listen: %w", err)
 	}
-	srv := &http.Server{Handler: s.Handler()}
+	srv := newHTTPServer(s.Handler())
 	go srv.Serve(ln)
 	base := "http://" + ln.Addr().String()
 

@@ -2,16 +2,20 @@ package serve
 
 // Backend abstracts the per-shard set store behind the server, so the
 // same sharded router, admission controller, and consistent-cut
-// machinery can serve more than one data structure. Two backends ship:
+// machinery can serve more than one data structure. It has one value
+// type and one binary operation: a stored shard state, a mutation's
+// routed piece, a recovered record and a DAG intermediate are all a
+// Value, and coalescing, mutating, replaying and evaluating a DAG node
+// are all Combine. Two backends ship:
 //
-//   - treap: the pipelined persistent treap of internal/paralg. Apply
+//   - treap: the pipelined persistent treap of internal/paralg. Combine
 //     only *starts* the tree operation and returns the new root cell;
 //     materialization rides the scheduler behind the published root, so
-//     a burst of mutations becomes one deep pipeline (the paper's
-//     claim, served).
+//     a burst of mutations — or the operator stages of one DAG request —
+//     becomes one deep pipeline (the paper's claim, served).
 //   - t26: the 2-6 tree of paralg.RConfig.T26BulkInsert. Each insertion
-//     run pipelines its level arrays internally, but Apply blocks until
-//     the run's tree fully materializes before returning — no
+//     run pipelines its level arrays internally, but Combine blocks
+//     until the run's tree fully materializes before returning — no
 //     pipelining across batches. It is the control group: same API,
 //     same scheduler, no cross-batch future graph.
 //
@@ -22,90 +26,61 @@ package serve
 import (
 	"fmt"
 	"sort"
-	"sync/atomic"
 
 	"pipefut/internal/paralg"
 	"pipefut/internal/t26"
 	"pipefut/internal/workload"
 )
 
-// State is a backend-specific immutable snapshot of one shard's set. The
-// server publishes (State, version) pairs; queries run against a State
-// without interference from later mutations.
-type State any
-
-// Operand is a backend-specific form of one mutation piece routed to one
-// shard. A nil Operand in a Prepare result means "this shard untouched".
-type Operand any
+// Value is a backend-private immutable set: a stored shard state, a
+// routed mutation piece, a literal, and a DAG intermediate are all the
+// same thing — for the treap a root cell that may not have materialized
+// yet. The server publishes (Value, version) pairs; queries run against
+// a Value without interference from later mutations.
+type Value any
 
 // Backend is the per-shard store interface. Implementations must be safe
-// for concurrent use: Prepare runs on client goroutines, Apply and
-// Coalesce on shard applier goroutines, queries on scheduler workers.
+// for concurrent use: FromKeys, Route and Combine run on client
+// goroutines (routing, DAG lowering) and shard applier goroutines
+// (coalescing, mutations), queries on scheduler workers. Key slices
+// handed in are sorted, distinct, and the caller's: implementations may
+// alias them but must not write to them.
 type Backend interface {
 	// Name identifies the backend in metrics and benchmark output.
 	Name() string
-	// Empty returns the state of an empty shard.
-	Empty() State
-	// Prepare turns one mutation's sorted distinct key batch into
-	// per-shard operands, given the router's ascending shard pivots
-	// (len(pivots)+1 shards). Union/difference return nil operands for
-	// shards whose key range the batch misses; intersect returns an
-	// operand for every shard (an absent key range still clears it).
-	Prepare(ctx paralg.Ctx, op Op, keys []int, pivots []int) []Operand
-	// Coalesce merges two adjacent same-kind operands into one, following
-	// (A∪B1)∪B2 = A∪(B1∪B2) and (A\B1)\B2 = A\(B1∪B2). Never called for
-	// intersect (not coalescible).
-	Coalesce(ctx paralg.Ctx, op Op, a, b Operand) Operand
-	// Apply executes one coalesced run against cur and returns the next
-	// state. The treap backend returns immediately (pipelined); the t26
-	// backend returns only once the run has materialized.
-	Apply(ctx paralg.Ctx, cur State, op Op, opd Operand) State
-	// Ready invokes k once st is published enough to answer queries —
-	// for the treap, when the result root cell is written (well before
-	// the tree materializes); for t26, immediately.
-	Ready(st State, k func(paralg.Ctx))
-	// Contains reports key's membership in st through continuation k.
-	Contains(ctx paralg.Ctx, st State, key int, k func(paralg.Ctx, bool))
-	// Len reports st's cardinality through continuation k.
-	Len(ctx paralg.Ctx, st State, k func(paralg.Ctx, int))
-	// Keys returns st's contents in ascending order, blocking until the
-	// state fully materializes. Verification path, external callers only.
-	Keys(st State) []int
-	// Load rebuilds a shard state from a recovered snapshot's sorted
-	// distinct key set (recovery path; the treap build pipelines).
-	Load(ctx paralg.Ctx, keys []int) State
-	// ReplayOperand turns one recovered WAL record's sorted distinct key
-	// batch back into the operand Apply consumes — the recovery twin of
-	// Prepare, for a single already-routed shard.
-	ReplayOperand(ctx paralg.Ctx, op Op, keys []int) Operand
-	// Snapshot reports st's full sorted key set through continuation k,
-	// suspending (never blocking) on parts of st that have not
-	// materialized — the durability layer's background snapshot walk.
-	Snapshot(ctx paralg.Ctx, st State, k func(paralg.Ctx, []int))
-
-	// DAG evaluation (see dag.go): the five methods below lower one
-	// operation-DAG node onto the backend. Values are backend-private
-	// intermediates, never published as shard states — for the treap a
-	// value is a pipelined root cell, so DAGCombine consumes operands
-	// that may not have materialized yet and the whole DAG becomes one
-	// fused tree pass; for t26 a value is a materialized sorted key
-	// slice and each combine is a barrier (the control group, as ever).
-
-	// DAGFromState lifts one shard's snapshot into a DAG value.
-	DAGFromState(ctx paralg.Ctx, st State) any
-	// DAGFromKeys lifts a literal sorted distinct key slice into a DAG
-	// value. The slice is the caller's; implementations must not retain
-	// it mutably.
-	DAGFromKeys(ctx paralg.Ctx, keys []int) any
-	// DAGCombine applies one DAG operation (union, difference,
-	// intersect) to two values.
-	DAGCombine(ctx paralg.Ctx, op Op, a, b any) any
-	// DAGCount reports a DAG value's cardinality through continuation
-	// k, suspending (never blocking) on unmaterialized parts.
-	DAGCount(ctx paralg.Ctx, v any, k func(paralg.Ctx, int))
-	// DAGKeys returns a DAG value's sorted contents, blocking until it
+	// FromKeys lifts a key set into a value; FromKeys(nil) is the empty
+	// shard's state. The treap build pipelines, so recovery and literal
+	// DAG leaves are consumed before they materialize.
+	FromKeys(ctx paralg.Ctx, keys []int) Value
+	// Route splits one batch into per-shard values at the router's
+	// ascending shard pivots: len(pivots)+1 pieces, piece i inside
+	// [pivots[i-1], pivots[i]), concatenating to the batch.
+	Route(ctx paralg.Ctx, keys []int, pivots []int) []Value
+	// Combine applies union (OpInsert is an alias), difference or
+	// intersect to two values. It is every binary step the server takes:
+	// coalescing adjacent pieces (union, following (A∪B1)∪B2 = A∪(B1∪B2)
+	// and (A\B1)\B2 = A\(B1∪B2); intersects never coalesce), a mutation
+	// (shard state against the coalesced piece), recovery replay, and a
+	// DAG operator node. The treap backend returns immediately
+	// (pipelined: the result root is consumable before either operand
+	// materializes); the t26 backend returns only materialized values.
+	Combine(ctx paralg.Ctx, op Op, a, b Value) Value
+	// Ready invokes k once v is published enough to answer queries —
+	// for the treap, when the root cell is written (well before the tree
+	// materializes); for t26, immediately.
+	Ready(v Value, k func(paralg.Ctx))
+	// Contains reports key's membership in v through continuation k.
+	Contains(ctx paralg.Ctx, v Value, key int, k func(paralg.Ctx, bool))
+	// Count reports v's cardinality through continuation k, suspending
+	// (never blocking) on unmaterialized parts.
+	Count(ctx paralg.Ctx, v Value, k func(paralg.Ctx, int))
+	// Keys returns v's contents in ascending order, blocking until it
 	// fully materializes. Verification path, external callers only.
-	DAGKeys(v any) []int
+	Keys(v Value) []int
+	// Snapshot reports v's full sorted key set through continuation k,
+	// suspending (never blocking) on parts of v that have not
+	// materialized — the durability layer's background snapshot walk.
+	Snapshot(ctx paralg.Ctx, v Value, k func(paralg.Ctx, []int))
 }
 
 // newBackend resolves a backend name ("" defaults to treap). Each
@@ -122,8 +97,8 @@ func newBackend(name string, pc paralg.RConfig) (Backend, error) {
 		pc.Discipline = paralg.SharedCells
 		return treapBackend{pc: pc}, nil
 	case "t26":
-		// Apply barriers on full materialization (RWaitT26) before a
-		// state is published, so a fresh cell only ever sees the insert
+		// Combine barriers on full materialization (RWaitT26) before a
+		// value is returned, so a fresh cell only ever sees the insert
 		// chain's single pre-write touch; queries arrive post-write.
 		// That is the linear-cells contract, and it buys the t26 run
 		// specialized cells.
@@ -140,72 +115,62 @@ func newBackend(name string, pc paralg.RConfig) (Backend, error) {
 
 // ---- treap backend -------------------------------------------------------
 
+// treapBackend's values are all paralg.NodeCell: the stored root — possibly
+// still materializing behind an earlier mutation — *is* the DAG value,
+// which is exactly the published-before-materialized contract:
+// downstream combines start splitting against it immediately.
 type treapBackend struct{ pc paralg.RConfig }
 
 func (b treapBackend) Name() string { return "treap" }
 
-func (b treapBackend) Empty() State { return b.pc.R.DoneNode(nil) }
+func (b treapBackend) FromKeys(ctx paralg.Ctx, keys []int) Value {
+	return b.pc.BuildTreap(ctx, keys)
+}
 
-// Prepare builds one operand treap over the whole batch and splits it at
+// Route builds one operand treap over the whole batch and splits it at
 // the shard pivots (paralg.SplitRanges), so the per-shard pieces share
 // the build's pipelined work and materialize concurrently while each
 // shard's pipeline is already consuming them.
-func (b treapBackend) Prepare(ctx paralg.Ctx, op Op, keys []int, pivots []int) []Operand {
+func (b treapBackend) Route(ctx paralg.Ctx, keys []int, pivots []int) []Value {
 	pieces := b.pc.SplitRanges(ctx, b.pc.BuildTreap(ctx, keys), pivots)
-	out := make([]Operand, len(pieces))
+	out := make([]Value, len(pieces))
 	for i, piece := range pieces {
-		if op == OpIntersect || rangeNonEmpty(keys, pivots, i) {
-			out[i] = piece
-		}
+		out[i] = piece
 	}
 	return out
 }
 
-func (b treapBackend) Coalesce(ctx paralg.Ctx, op Op, a, b2 Operand) Operand {
-	// Union and difference operands both coalesce by unioning the
-	// operand treaps; the result stays a pipelined cell.
-	return b.pc.Union(ctx, a.(paralg.NodeCell), b2.(paralg.NodeCell))
-}
-
-func (b treapBackend) Apply(ctx paralg.Ctx, cur State, op Op, opd Operand) State {
-	root, piece := cur.(paralg.NodeCell), opd.(paralg.NodeCell)
+func (b treapBackend) Combine(ctx paralg.Ctx, op Op, x, y Value) Value {
+	l, r := x.(paralg.NodeCell), y.(paralg.NodeCell)
 	switch op {
 	case OpUnion, OpInsert:
-		return b.pc.Union(ctx, root, piece)
+		return b.pc.Union(ctx, l, r)
 	case OpDifference:
-		return b.pc.Diff(ctx, root, piece)
+		return b.pc.Diff(ctx, l, r)
 	case OpIntersect:
-		return b.pc.Intersect(ctx, root, piece)
+		return b.pc.Intersect(ctx, l, r)
 	}
 	panic("serve: treap backend: unknown op " + string(op))
 }
 
-func (b treapBackend) Ready(st State, k func(paralg.Ctx)) {
-	st.(paralg.NodeCell).Touch(nil, func(ctx paralg.Ctx, _ *paralg.RNode) { k(ctx) })
+func (b treapBackend) Ready(v Value, k func(paralg.Ctx)) {
+	v.(paralg.NodeCell).Touch(nil, func(ctx paralg.Ctx, _ *paralg.RNode) { k(ctx) })
 }
 
-func (b treapBackend) Contains(ctx paralg.Ctx, st State, key int, k func(paralg.Ctx, bool)) {
-	paralg.RContains(ctx, st.(paralg.NodeCell), key, k)
+func (b treapBackend) Contains(ctx paralg.Ctx, v Value, key int, k func(paralg.Ctx, bool)) {
+	paralg.RContains(ctx, v.(paralg.NodeCell), key, k)
 }
 
-func (b treapBackend) Len(ctx paralg.Ctx, st State, k func(paralg.Ctx, int)) {
-	paralg.RLen(ctx, st.(paralg.NodeCell), k)
+func (b treapBackend) Count(ctx paralg.Ctx, v Value, k func(paralg.Ctx, int)) {
+	paralg.RLen(ctx, v.(paralg.NodeCell), k)
 }
 
-func (b treapBackend) Load(ctx paralg.Ctx, keys []int) State {
-	return b.pc.BuildTreap(ctx, keys)
+func (b treapBackend) Snapshot(ctx paralg.Ctx, v Value, k func(paralg.Ctx, []int)) {
+	paralg.RSnapshotKeys(ctx, v.(paralg.NodeCell), k)
 }
 
-func (b treapBackend) ReplayOperand(ctx paralg.Ctx, op Op, keys []int) Operand {
-	return b.pc.BuildTreap(ctx, keys)
-}
-
-func (b treapBackend) Snapshot(ctx paralg.Ctx, st State, k func(paralg.Ctx, []int)) {
-	paralg.RSnapshotKeys(ctx, st.(paralg.NodeCell), k)
-}
-
-func (b treapBackend) Keys(st State) []int {
-	return treapAppendKeys(st.(paralg.NodeCell), nil)
+func (b treapBackend) Keys(v Value) []int {
+	return treapAppendKeys(v.(paralg.NodeCell), nil)
 }
 
 func treapAppendKeys(t paralg.NodeCell, out []int) []int {
@@ -218,70 +183,58 @@ func treapAppendKeys(t paralg.NodeCell, out []int) []int {
 	return treapAppendKeys(n.Right, out)
 }
 
-// DAGFromState is the identity: the snapshot root cell — possibly still
-// materializing behind an earlier mutation — *is* the DAG value, which
-// is exactly the published-before-materialized contract: downstream
-// combines start splitting against it immediately.
-func (b treapBackend) DAGFromState(_ paralg.Ctx, st State) any { return st.(paralg.NodeCell) }
-
-func (b treapBackend) DAGFromKeys(ctx paralg.Ctx, keys []int) any {
-	return b.pc.BuildTreap(ctx, keys)
-}
-
-func (b treapBackend) DAGCombine(ctx paralg.Ctx, op Op, a, b2 any) any {
-	x, y := a.(paralg.NodeCell), b2.(paralg.NodeCell)
-	switch op {
-	case OpUnion:
-		return b.pc.Union(ctx, x, y)
-	case OpDifference:
-		return b.pc.Diff(ctx, x, y)
-	case OpIntersect:
-		return b.pc.Intersect(ctx, x, y)
-	}
-	panic("serve: treap backend: unknown dag op " + string(op))
-}
-
-func (b treapBackend) DAGCount(ctx paralg.Ctx, v any, k func(paralg.Ctx, int)) {
-	paralg.RLen(ctx, v.(paralg.NodeCell), k)
-}
-
-func (b treapBackend) DAGKeys(v any) []int {
-	return treapAppendKeys(v.(paralg.NodeCell), nil)
-}
-
 // ---- t26 backend ---------------------------------------------------------
 
+// t26Backend keeps two value forms, both always materialized: a 2-6
+// tree (paralg.T26Cell) and a plain sorted key slice. A tree is grown
+// in exactly one place — where a routed piece meets a value that is not
+// one, which is what a mutation is — so shard states are trees from
+// their first mutation on (the empty shard and a freshly recovered one
+// are still the slices FromKeys made them). Every other combination is
+// sorted-slice arithmetic: coalescing two pieces, replaying a record
+// into a recovered state, and every DAG node — an operator applied to
+// the stored set reads the tree's keys once and never rebuilds it.
 type t26Backend struct{ pc paralg.RConfig }
+
+// t26Piece is a routed mutation piece: a sorted slice like any literal,
+// typed so that Combine can tell the mutation (grow a tree) from a DAG
+// operator over a literal (don't).
+type t26Piece []int
 
 func (b t26Backend) Name() string { return "t26" }
 
-func (b t26Backend) Empty() State { return paralg.RFromSeqT26(b.pc.R, t26.Empty()) }
+func (b t26Backend) FromKeys(_ paralg.Ctx, keys []int) Value { return keys }
 
-// Prepare slices the sorted batch at the shard pivots; t26 operands stay
-// plain sorted key arrays (the level decomposition happens at apply
+// Route slices the sorted batch at the shard pivots; t26 pieces stay
+// plain sorted key arrays (the level decomposition happens at combine
 // time, against the tree the run actually meets).
-func (b t26Backend) Prepare(ctx paralg.Ctx, op Op, keys []int, pivots []int) []Operand {
-	out := make([]Operand, len(pivots)+1)
-	lo := 0
+func (b t26Backend) Route(_ paralg.Ctx, keys []int, pivots []int) []Value {
+	out := make([]Value, len(pivots)+1)
 	for i := range out {
-		hi := len(keys)
-		if i < len(pivots) {
-			hi = sort.SearchInts(keys, pivots[i])
-		}
-		if op == OpIntersect || hi > lo {
-			out[i] = append([]int(nil), keys[lo:hi]...)
-		}
-		lo = hi
+		out[i] = t26Piece(pieceKeys(keys, pivots, i))
 	}
 	return out
 }
 
-func (b t26Backend) Coalesce(_ paralg.Ctx, op Op, a, b2 Operand) Operand {
-	return mergeSortedDistinct(a.([]int), b2.([]int))
+func (b t26Backend) Combine(ctx paralg.Ctx, op Op, x, y Value) Value {
+	_, coalescing := x.(t26Piece)
+	if piece, mutation := y.(t26Piece); mutation && !coalescing {
+		return b.mutate(ctx, op, x, piece)
+	}
+	out := sortedCombine(op, t26Keys(x), t26Keys(y))
+	if coalescing {
+		return t26Piece(out)
+	}
+	return out
 }
 
-func (b t26Backend) Apply(ctx paralg.Ctx, cur State, op Op, opd Operand) State {
-	root, keys := cur.(paralg.T26Cell), opd.([]int)
+// mutate applies one coalesced piece to a shard state and returns the
+// next state's tree.
+func (b t26Backend) mutate(ctx paralg.Ctx, op Op, state Value, keys []int) Value {
+	root, ok := state.(paralg.T26Cell)
+	if !ok {
+		root = paralg.RFromSeqT26(b.pc.R, t26.FromKeys(t26Keys(state)))
+	}
 	switch op {
 	case OpUnion, OpInsert:
 		// The run's level arrays pipeline through the tree, but the batch
@@ -293,17 +246,22 @@ func (b t26Backend) Apply(ctx paralg.Ctx, cur State, op Op, opd Operand) State {
 	case OpDifference:
 		return paralg.RFromSeqT26(b.pc.R, t26.DeleteAll(paralg.RToSeqT26(root), keys))
 	case OpIntersect:
-		keep := sortedIntersect(t26.Keys(paralg.RToSeqT26(root)), keys)
-		return paralg.RFromSeqT26(b.pc.R, t26.FromKeys(keep))
+		return paralg.RFromSeqT26(b.pc.R, t26.FromKeys(sortedIntersect(t26AppendKeys(root, nil), keys)))
 	}
 	panic("serve: t26 backend: unknown op " + string(op))
 }
 
-// Ready is immediate: Apply already materialized the state.
-func (b t26Backend) Ready(_ State, k func(paralg.Ctx)) { k(nil) }
+// Ready is immediate: Combine already materialized the value.
+func (b t26Backend) Ready(_ Value, k func(paralg.Ctx)) { k(nil) }
 
-func (b t26Backend) Contains(ctx paralg.Ctx, st State, key int, k func(paralg.Ctx, bool)) {
-	t26ContainsCPS(ctx, st.(paralg.T26Cell), key, k)
+func (b t26Backend) Contains(ctx paralg.Ctx, v Value, key int, k func(paralg.Ctx, bool)) {
+	if c, ok := v.(paralg.T26Cell); ok {
+		t26ContainsCPS(ctx, c, key, k)
+		return
+	}
+	keys := t26Keys(v)
+	i := sort.SearchInts(keys, key)
+	k(ctx, i < len(keys) && keys[i] == key)
 }
 
 func t26ContainsCPS(ctx paralg.Ctx, c paralg.T26Cell, key int, k func(paralg.Ctx, bool)) {
@@ -321,82 +279,41 @@ func t26ContainsCPS(ctx paralg.Ctx, c paralg.T26Cell, key int, k func(paralg.Ctx
 	})
 }
 
-func (b t26Backend) Len(ctx paralg.Ctx, st State, k func(paralg.Ctx, int)) {
-	lst := &t26LenState{k: k}
-	lst.open.Store(1)
-	lst.walk(ctx, st.(paralg.T26Cell))
-}
-
-// t26LenState mirrors paralg's rlenState for 2-6 trees: an atomic
-// open-walk countdown so continuation nesting stays O(tree height) and
-// whichever walk resolves last delivers the total.
-type t26LenState struct {
-	total atomic.Int64
-	open  atomic.Int64
-	k     func(paralg.Ctx, int)
-}
-
-func (st *t26LenState) walk(ctx paralg.Ctx, c paralg.T26Cell) {
-	c.Touch(ctx, func(ctx paralg.Ctx, n *paralg.RT26Node) {
-		st.total.Add(int64(len(n.Keys)))
-		if n.IsLeaf() {
-			if st.open.Add(-1) == 0 {
-				st.k(ctx, int(st.total.Load()))
-			}
-			return
-		}
-		st.open.Add(int64(len(n.Kids) - 1)) // kids' walks replace this one
-		for _, kid := range n.Kids {
-			st.walk(ctx, kid)
-		}
-	})
-}
-
-func (b t26Backend) Load(ctx paralg.Ctx, keys []int) State {
-	return paralg.RFromSeqT26(b.pc.R, t26.FromKeys(keys))
-}
-
-func (b t26Backend) ReplayOperand(_ paralg.Ctx, op Op, keys []int) Operand {
-	return append([]int(nil), keys...)
-}
-
-// Snapshot is immediate for t26: published states are materialized
-// before publish, so the walk never suspends.
-func (b t26Backend) Snapshot(ctx paralg.Ctx, st State, k func(paralg.Ctx, []int)) {
-	k(ctx, t26AppendKeys(st.(paralg.T26Cell), nil))
-}
-
-func (b t26Backend) Keys(st State) []int {
-	return t26AppendKeys(st.(paralg.T26Cell), nil)
-}
-
-// DAGFromState materializes the shard snapshot into a sorted slice —
-// for t26 every published state is already fully built, so this never
-// waits; it just fixes the DAG's value representation.
-func (b t26Backend) DAGFromState(_ paralg.Ctx, st State) any {
-	return t26AppendKeys(st.(paralg.T26Cell), nil)
-}
-
-func (b t26Backend) DAGFromKeys(_ paralg.Ctx, keys []int) any { return keys }
-
-func (b t26Backend) DAGCombine(_ paralg.Ctx, op Op, a, b2 any) any {
-	x, y := a.([]int), b2.([]int)
-	switch op {
-	case OpUnion:
-		return mergeSortedDistinct(x, y)
-	case OpDifference:
-		return sortedDiff(x, y)
-	case OpIntersect:
-		return sortedIntersect(x, y)
+// Count, Keys and Snapshot never suspend: every t26 value is
+// materialized before anyone holds it.
+func (b t26Backend) Count(ctx paralg.Ctx, v Value, k func(paralg.Ctx, int)) {
+	if c, ok := v.(paralg.T26Cell); ok {
+		k(ctx, t26Count(c))
+		return
 	}
-	panic("serve: t26 backend: unknown dag op " + string(op))
+	k(ctx, len(t26Keys(v)))
 }
 
-func (b t26Backend) DAGCount(ctx paralg.Ctx, v any, k func(paralg.Ctx, int)) {
-	k(ctx, len(v.([]int)))
+func t26Count(c paralg.T26Cell) int {
+	n := c.Read()
+	total := len(n.Keys)
+	for _, kid := range n.Kids {
+		total += t26Count(kid)
+	}
+	return total
 }
 
-func (b t26Backend) DAGKeys(v any) []int { return v.([]int) }
+func (b t26Backend) Snapshot(ctx paralg.Ctx, v Value, k func(paralg.Ctx, []int)) {
+	k(ctx, t26Keys(v))
+}
+
+func (b t26Backend) Keys(v Value) []int { return t26Keys(v) }
+
+// t26Keys reads any value form as its sorted key slice.
+func t26Keys(v Value) []int {
+	switch v := v.(type) {
+	case paralg.T26Cell:
+		return t26AppendKeys(v, nil)
+	case t26Piece:
+		return v
+	}
+	return v.([]int)
+}
 
 func t26AppendKeys(c paralg.T26Cell, out []int) []int {
 	n := c.Read()
@@ -414,17 +331,18 @@ func t26AppendKeys(c paralg.T26Cell, out []int) []int {
 
 // ---- sorted-array helpers ------------------------------------------------
 
-// rangeNonEmpty reports whether the sorted batch has a key in shard i's
-// range under the given pivots.
-func rangeNonEmpty(keys []int, pivots []int, i int) bool {
-	lo, hi := 0, len(keys)
-	if i > 0 {
-		lo = sort.SearchInts(keys, pivots[i-1])
+// sortedCombine is the set algebra on sorted distinct slices — t26's
+// arithmetic and the tests' oracle.
+func sortedCombine(op Op, a, b []int) []int {
+	switch op {
+	case OpUnion, OpInsert:
+		return mergeSortedDistinct(a, b)
+	case OpDifference:
+		return sortedDiff(a, b)
+	case OpIntersect:
+		return sortedIntersect(a, b)
 	}
-	if i < len(pivots) {
-		hi = sort.SearchInts(keys, pivots[i])
-	}
-	return hi > lo
+	panic("serve: unknown op " + string(op))
 }
 
 func mergeSortedDistinct(a, b []int) []int {

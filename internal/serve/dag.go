@@ -37,11 +37,7 @@ package serve
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
 	"time"
-
-	"pipefut/internal/paralg"
-	"pipefut/internal/sched"
 )
 
 // ErrBadRequest marks a malformed request — an unknown op name, an
@@ -259,86 +255,54 @@ func (s *Server) EvalDAG(req DAGRequest) (DAGResult, error) {
 	// so a DAG near the high-water mark is shed exactly like the
 	// equivalent burst of single ops would be — before the planner
 	// spends anything on it.
-	snaps, cut, err := s.cutSnapshotCost(len(req.Nodes))
+	sets, cut, start, err := s.cutSnapshot(len(req.Nodes))
 	if err != nil {
 		return DAGResult{}, err
 	}
-	finish := func() {
-		s.met.completed.Add(1)
-		s.inflight.Done()
-	}
+	defer s.done()
 	plan, err := planDAG(req)
 	if err != nil {
-		finish()
 		return DAGResult{}, err
 	}
-	start := time.Now()
 	s.met.dagRequests.Add(1)
 	s.met.dagNodes.Add(int64(len(plan.order)))
 
 	// Lower the plan once per shard. sh.actx (affine policy) keeps each
-	// shard's slice of the pipeline near that shard's preferred worker;
-	// values stay backend-private (pipelined root cells for the treap,
-	// materialized sorted slices for t26) and are never published.
-	roots := make([]any, len(snaps))
-	for i, sn := range snaps {
+	// shard's slice of the pipeline near that shard's preferred worker.
+	// A set leaf is the shard's state from the cut, as is — on the treap
+	// a root that may still be materializing behind an earlier mutation;
+	// intermediates are backend values like any other, just never stored.
+	roots := make([]Value, len(sets))
+	for i, set := range sets {
 		sh := s.shards[i]
-		vals := make([]any, len(req.Nodes))
+		vals := make([]Value, len(req.Nodes))
 		for _, idx := range plan.order {
 			nd := req.Nodes[idx]
 			switch {
 			case nd.Ref != "":
-				vals[idx] = s.be.DAGFromState(sh.actx, sn.st)
+				vals[idx] = set
 			case nd.Op != "":
 				v := vals[nd.Args[0]]
 				for _, a := range nd.Args[1:] {
-					v = s.be.DAGCombine(sh.actx, Op(nd.Op), v, vals[a])
+					v = s.be.Combine(sh.actx, Op(nd.Op), v, vals[a])
 				}
 				vals[idx] = v
 			default:
-				vals[idx] = s.be.DAGFromKeys(sh.actx, pieceKeys(plan.keys[idx], s.pivots, i))
+				vals[idx] = s.be.FromKeys(sh.actx, pieceKeys(plan.keys[idx], s.pivots, i))
 			}
 		}
 		roots[i] = vals[plan.result]
 	}
 
+	// The terminal is the same scatter-gather Len and Keys run over the
+	// cut itself — they are the one-leaf DAG.
 	res := DAGResult{Cut: cut}
-	switch plan.want {
-	case DAGWantKeys:
-		// Shard ranges ascend and every DAG op preserves them, so the
-		// concatenation of per-shard contents is globally sorted.
-		for _, r := range roots {
-			res.Keys = append(res.Keys, s.be.DAGKeys(r)...)
-		}
+	if plan.want == DAGWantKeys {
+		res.Keys = s.gatherKeys(roots)
 		res.Count = len(res.Keys)
-	default:
-		// The request's completion gate: one countdown cell spanning
-		// the terminal's per-shard roots. Each shard's Len walk counts
-		// subtrees as they materialize; whichever walk resolves last
-		// writes the total.
-		var total atomic.Int64
-		var open atomic.Int64
-		open.Store(int64(len(roots)))
-		done := sched.NewCell[int](s.rt.RT)
-		for i, r := range roots {
-			r := r
-			s.rt.RT.Submit(nil, func(w *sched.Worker) {
-				s.be.DAGCount(w, r, func(ctx paralg.Ctx, n int) {
-					total.Add(int64(n))
-					if open.Add(-1) == 0 {
-						done.Write(asWorker(ctx), int(total.Load()))
-					}
-				})
-			}, s.shards[i].pref)
-		}
-		n, rerr := done.ReadErr()
-		if rerr != nil {
-			finish()
-			return DAGResult{}, rerr
-		}
-		res.Count = n
+	} else if res.Count, err = s.gatherCount(roots); err != nil {
+		return DAGResult{}, err
 	}
 	s.met.dagLat.record(time.Since(start))
-	finish()
 	return res, nil
 }

@@ -9,8 +9,8 @@ package serve
 //     blocks on I/O.
 //   - Ack after both: a request's pieces complete only once the run's
 //     result root is published AND its record is durable under the
-//     fsync policy — a two-arm countdown (durGate), racing the flusher
-//     against the scheduler.
+//     fsync policy — the run's ackGate opened at two arms, racing the
+//     flusher against the scheduler.
 //   - Snapshots ride the pipeline: a background writer pins the
 //     published (root, version) pair — free, the root is immutable by
 //     structural sharing — and walks it with paralg.RSnapshotKeys,
@@ -20,9 +20,6 @@ package serve
 
 import (
 	"fmt"
-	"sort"
-	"sync/atomic"
-	"time"
 
 	"pipefut/internal/paralg"
 	"pipefut/internal/persist"
@@ -57,47 +54,10 @@ func opOfKind(k persist.Kind) Op {
 	panic("serve: no op for record kind " + k.String())
 }
 
-// pieceKeys slices one mutation's sorted distinct batch down to shard
-// i's key range under the router's pivots — the keys the shard's WAL
-// record carries.
-func pieceKeys(sorted []int, pivots []int, i int) []int {
-	lo, hi := 0, len(sorted)
-	if i > 0 {
-		lo = sort.SearchInts(sorted, pivots[i-1])
-	}
-	if i < len(pivots) {
-		hi = sort.SearchInts(sorted, pivots[i])
-	}
-	return sorted[lo:hi]
-}
-
-// durGate completes a run's requests once both arms arrive: the result
-// root published (ready, from the scheduler) and the record durable
-// (durable, from the WAL flusher). Whichever arrives last — on
-// whatever goroutine — releases the acks.
-type durGate struct {
-	sh   *shard
-	run  []shardReq
-	v    uint64
-	open atomic.Int32
-}
-
-func (g *durGate) durable()             { g.arrive(nil) }
-func (g *durGate) ready(ctx paralg.Ctx) { g.arrive(ctx) }
-func (g *durGate) arrive(ctx paralg.Ctx) {
-	if g.open.Add(-1) != 0 {
-		return
-	}
-	for _, r := range g.run {
-		g.sh.lat.record(time.Since(r.req.start))
-		r.req.finish(ctx, g.sh.idx, g.v)
-	}
-}
-
 // openStores opens every shard's durable store and rebuilds shard state:
-// load the newest snapshot through the backend, then replay the log
-// suffix through the normal apply path (pipelined on the treap backend —
-// recovery itself rides the scheduler).
+// lift the newest snapshot through the backend, then replay the log
+// suffix through the same Combine a live mutation runs (pipelined on the
+// treap backend — recovery itself rides the scheduler).
 func (s *Server) openStores(dataDir string, policy persist.FsyncPolicy) error {
 	for i, sh := range s.shards {
 		store, rec, err := persist.OpenShard(shardDir(dataDir, i), persist.Options{Policy: policy})
@@ -106,12 +66,11 @@ func (s *Server) openStores(dataDir string, policy persist.FsyncPolicy) error {
 		}
 		sh.store = store
 		sh.lastSnap.Store(rec.SnapshotSeq)
-		if rec.SnapshotSeq > 0 || len(rec.Keys) > 0 {
-			sh.st = s.be.Load(nil, rec.Keys)
+		if len(rec.Keys) > 0 {
+			sh.st = s.be.FromKeys(nil, rec.Keys)
 		}
 		for _, r := range rec.Records {
-			op := opOfKind(r.Kind)
-			sh.st = s.be.Apply(nil, sh.st, op, s.be.ReplayOperand(nil, op, r.Keys))
+			sh.st = s.be.Combine(nil, opOfKind(r.Kind), sh.st, s.be.FromKeys(nil, r.Keys))
 		}
 		sh.version = rec.LastSeq
 		sh.replayed = len(rec.Records)
@@ -127,7 +86,7 @@ func shardDir(dataDir string, i int) string {
 // (state, version) pair when the shard has outrun its last durable
 // snapshot by the configured cadence. At most one snapshot per shard is
 // in flight; the applier only CASes a flag and forks — it never waits.
-func (sh *shard) maybeSnapshot(st State, v uint64) {
+func (sh *shard) maybeSnapshot(st Value, v uint64) {
 	if sh.store == nil || sh.s.snapEvery <= 0 {
 		return
 	}
@@ -144,7 +103,7 @@ func (sh *shard) maybeSnapshot(st State, v uint64) {
 // snapshot serializes the pinned root and makes it durable. Runs on its
 // own goroutine but the walk itself is scheduler tasks; this goroutine
 // only blocks on the walk's result cell and on snapshot file I/O.
-func (sh *shard) snapshot(st State, v uint64) {
+func (sh *shard) snapshot(st Value, v uint64) {
 	defer sh.s.persistWG.Done()
 	defer sh.snapBusy.Store(false)
 	keys, err := sh.s.walkKeys(st)
@@ -159,7 +118,7 @@ func (sh *shard) snapshot(st State, v uint64) {
 
 // walkKeys runs the backend's snapshot walk as a scheduler task and
 // blocks (this goroutine only) until the sorted key set is complete.
-func (s *Server) walkKeys(st State) ([]int, error) {
+func (s *Server) walkKeys(st Value) ([]int, error) {
 	done := sched.NewCell[[]int](s.rt.RT)
 	s.rt.RT.Fork(nil, func(w *sched.Worker) {
 		s.be.Snapshot(w, st, func(ctx paralg.Ctx, keys []int) {

@@ -164,6 +164,7 @@ type Server struct {
 	be     Backend
 	pivots []int
 	shards []*shard
+	all    []int // every shard index: what intersects and cut reads target
 
 	// routeMu orders request routing against cut markers: enqueueing one
 	// request's pieces holds it shared (exclusive when the request spans
@@ -203,7 +204,7 @@ func New(cfg Config) *Server {
 // through the normal apply path on the treap backend) and resumes the
 // version counters where the log left off; otherwise the set starts
 // empty.
-func Open(cfg Config) (*Server, error) {
+func Open(cfg Config) (_ *Server, err error) {
 	if cfg.P <= 0 {
 		cfg.P = runtime.GOMAXPROCS(0)
 	}
@@ -229,6 +230,16 @@ func Open(cfg Config) (*Server, error) {
 	if !ok {
 		return nil, fmt.Errorf("serve: unknown fsync policy %q (want batch, never, or always)", cfg.Fsync)
 	}
+	pivots := cfg.Pivots
+	if pivots == nil {
+		pivots = defaultPivots(cfg.Shards, cfg.Universe)
+	}
+	if len(pivots) != cfg.Shards-1 {
+		return nil, errors.New("serve: len(Pivots) must be Shards-1")
+	}
+	if !sort.IntsAreSorted(pivots) {
+		return nil, errors.New("serve: Pivots must ascend")
+	}
 	if cfg.StealPolicy == "" {
 		cfg.StealPolicy = StealAffine
 	}
@@ -250,28 +261,29 @@ func Open(cfg Config) (*Server, error) {
 	default:
 		return nil, errors.New("serve: unknown steal policy " + cfg.StealPolicy + " (want affine or baseline)")
 	}
-	pc := paralg.RConfig{R: rt, SpawnDepth: cfg.SpawnDepth, GrainCutoff: cfg.GrainCutoff}
-	be, err := newBackend(cfg.Backend, pc)
-	if err != nil {
+	s := &Server{cfg: cfg, rt: rt, pivots: pivots, policy: policy}
+	// The runtime is running from here on: every later failure leaves
+	// through this one cleanup.
+	defer func() {
+		if err == nil {
+			return
+		}
+		for _, sh := range s.shards {
+			if sh.store != nil {
+				sh.store.Close()
+			}
+		}
+		rt.RT.Wait() // partial recovery may have forked replay work
 		rt.RT.Shutdown()
+	}()
+	pc := paralg.RConfig{R: rt, SpawnDepth: cfg.SpawnDepth, GrainCutoff: cfg.GrainCutoff}
+	if s.be, err = newBackend(cfg.Backend, pc); err != nil {
 		return nil, err
 	}
-	pivots := cfg.Pivots
-	if pivots == nil {
-		pivots = defaultPivots(cfg.Shards, cfg.Universe)
-	}
-	if len(pivots) != cfg.Shards-1 {
-		rt.RT.Shutdown()
-		return nil, errors.New("serve: len(Pivots) must be Shards-1")
-	}
-	if !sort.IntsAreSorted(pivots) {
-		rt.RT.Shutdown()
-		return nil, errors.New("serve: Pivots must ascend")
-	}
-	s := &Server{cfg: cfg, rt: rt, be: be, pivots: pivots, policy: policy}
 	hw := ceilDiv(cfg.HighWater, cfg.Shards)
 	for i := 0; i < cfg.Shards; i++ {
 		s.shards = append(s.shards, newShard(s, i, hw))
+		s.all = append(s.all, i)
 	}
 	if cfg.DataDir != "" {
 		switch {
@@ -281,13 +293,6 @@ func Open(cfg Config) (*Server, error) {
 			s.snapEvery = cfg.SnapshotEvery
 		}
 		if err := s.openStores(cfg.DataDir, policy); err != nil {
-			for _, sh := range s.shards {
-				if sh.store != nil {
-					sh.store.Close()
-				}
-			}
-			rt.RT.Wait() // partial recovery may have forked replay work
-			rt.RT.Shutdown()
 			return nil, err
 		}
 	}
@@ -337,20 +342,29 @@ func (s *Server) ShardOf(key int) int {
 	return sort.Search(len(s.pivots), func(i int) bool { return s.pivots[i] > key })
 }
 
+// pieceKeys slices a sorted distinct batch down to shard i's key range
+// under the router's pivots — the keys a shard's WAL record carries and
+// its slice of a literal DAG leaf.
+func pieceKeys(sorted []int, pivots []int, i int) []int {
+	lo, hi := 0, len(sorted)
+	if i > 0 {
+		lo = sort.SearchInts(sorted, pivots[i-1])
+	}
+	if i < len(pivots) {
+		hi = sort.SearchInts(sorted, pivots[i])
+	}
+	return sorted[lo:hi]
+}
+
 // targetsFor lists the shards a mutation touches: every shard for
 // intersect, the shards whose range the sorted batch hits otherwise.
 func (s *Server) targetsFor(op Op, sorted []int) []int {
-	k := len(s.shards)
 	if op == OpIntersect {
-		out := make([]int, k)
-		for i := range out {
-			out[i] = i
-		}
-		return out
+		return s.all
 	}
-	var out []int
-	for i := 0; i < k; i++ {
-		if rangeNonEmpty(sorted, s.pivots, i) {
+	out := make([]int, 0, len(s.shards))
+	for i := range s.shards {
+		if len(pieceKeys(sorted, s.pivots, i)) > 0 {
 			out = append(out, i)
 		}
 	}
@@ -375,6 +389,59 @@ func (s *Server) overHighWater(targets []int, cost int) *shard {
 	return nil
 }
 
+// admit is every request's way in: count it offered, refuse it while
+// draining, take the routing lock (exclusive or shared), re-check the
+// drain under the lock — the flip happens under it, so an admitted
+// request can never be stranded — and run the high-water check against
+// the target shards. On success the request is counted admitted and in
+// flight and the routing lock is still held: the caller enqueues or
+// snapshots under it, then calls unroute with the same flag, and calls
+// done when the request completes. The returned instant is the request's
+// latency origin — taken here, before the routing lock, for every
+// request kind, so a wait behind an exclusive cross-shard holder shows
+// up in the server's own quantiles instead of vanishing from them.
+func (s *Server) admit(targets []int, exclusive bool, cost int) (time.Time, error) {
+	start := time.Now()
+	s.met.offered.Add(1)
+	if s.state.Load() != stateAccepting {
+		s.met.shedDraining.Add(1)
+		return start, ErrDraining
+	}
+	if exclusive {
+		s.routeMu.Lock()
+	} else {
+		s.routeMu.RLock()
+	}
+	if s.state.Load() != stateAccepting {
+		s.unroute(exclusive)
+		s.met.shedDraining.Add(1)
+		return start, ErrDraining
+	}
+	if over := s.overHighWater(targets, cost); over != nil {
+		s.unroute(exclusive)
+		over.offered.Add(1)
+		over.shed.Add(1)
+		return start, ErrOverloaded
+	}
+	s.met.admitted.Add(1)
+	s.inflight.Add(1)
+	return start, nil
+}
+
+func (s *Server) unroute(exclusive bool) {
+	if exclusive {
+		s.routeMu.Unlock()
+	} else {
+		s.routeMu.RUnlock()
+	}
+}
+
+// done retires one admitted request.
+func (s *Server) done() {
+	s.met.completed.Add(1)
+	s.inflight.Done()
+}
+
 // Apply submits one mutation and blocks until every per-shard piece has
 // been ordered and its result published (not until the trees
 // materialize — that is the pipelining). It returns the cut of per-shard
@@ -385,19 +452,8 @@ func (s *Server) Apply(op Op, keys []int) (Cut, error) {
 	default:
 		return nil, fmt.Errorf("%w: unknown op %q (want union, insert, difference, or intersect)", ErrBadRequest, op)
 	}
-	s.met.offered.Add(1)
-	if s.state.Load() != stateAccepting {
-		s.met.shedDraining.Add(1)
-		return nil, ErrDraining
-	}
 	sorted := sortedDistinct(keys)
 	targets := s.targetsFor(op, sorted)
-	if len(targets) == 0 { // empty union/difference: a complete no-op
-		s.met.admitted.Add(1)
-		s.met.completed.Add(1)
-		return make(Cut, len(s.shards)), nil
-	}
-	start := time.Now()
 
 	// Single-shard mutations route under the shared lock; cross-shard
 	// mutations take it exclusively so their piece enqueues are atomic
@@ -405,88 +461,51 @@ func (s *Server) Apply(op Op, keys []int) (Cut, error) {
 	// of non-commuting cross-shard mutations lands in the same order on
 	// every shard they share.
 	multi := len(targets) > 1
-	if multi {
-		s.routeMu.Lock()
-	} else {
-		s.routeMu.RLock()
+	start, err := s.admit(targets, multi, 0)
+	if err != nil {
+		return nil, err
 	}
-	unlock := func() {
-		if multi {
-			s.routeMu.Unlock()
-		} else {
-			s.routeMu.RUnlock()
-		}
+	defer s.done()
+	if len(targets) == 0 { // empty union/difference: a complete no-op
+		s.unroute(multi)
+		return make(Cut, len(s.shards)), nil
 	}
-	if s.state.Load() != stateAccepting {
-		unlock()
-		s.met.shedDraining.Add(1)
-		return nil, ErrDraining
-	}
-	if over := s.overHighWater(targets, 0); over != nil {
-		unlock()
-		over.offered.Add(1)
-		over.shed.Add(1)
-		return nil, ErrOverloaded
-	}
-	s.met.admitted.Add(1)
-	s.inflight.Add(1)
 	req := &request{start: start, cut: make(Cut, len(s.shards)), done: sched.NewCell[Cut](s.rt.RT)}
 	req.open.Store(int32(len(targets)))
-	operands := s.be.Prepare(nil, op, sorted, s.pivots)
-	persisting := s.cfg.DataDir != ""
+	pieces := s.be.Route(nil, sorted, s.pivots)
 	for _, ti := range targets {
 		sh := s.shards[ti]
-		var pk []int
-		if persisting {
-			pk = pieceKeys(sorted, s.pivots, ti)
+		r := shardReq{op: op, piece: pieces[ti], req: req}
+		if sh.store != nil {
+			r.keys = pieceKeys(sorted, s.pivots, ti)
 		}
 		sh.mu.Lock()
-		sh.queue = append(sh.queue, shardReq{op: op, opd: operands[ti], keys: pk, req: req})
+		sh.queue = append(sh.queue, r)
 		sh.mu.Unlock()
 		sh.offered.Add(1)
 		sh.admitted.Add(1)
 		sh.queued.Add(1)
 		sh.cond.Signal()
 	}
-	unlock()
-
-	cut, err := req.done.ReadErr() // ErrShutdown impossible under drain discipline; surface anyway
-	s.met.completed.Add(1)
-	s.inflight.Done()
-	return cut, err
+	s.unroute(multi)
+	return req.done.ReadErr() // ErrShutdown impossible under drain discipline; surface anyway
 }
 
 // Contains reports whether key is in the set, against the owning shard's
 // consistent (state, version) snapshot. The walk runs as a scheduler
 // task and blocks only on the cells along the search path.
 func (s *Server) Contains(key int) (bool, uint64, error) {
-	s.met.offered.Add(1)
-	if s.state.Load() != stateAccepting {
-		s.met.shedDraining.Add(1)
-		return false, 0, ErrDraining
-	}
 	sh := s.shards[s.ShardOf(key)]
-
-	s.routeMu.RLock()
-	if s.state.Load() != stateAccepting {
-		s.routeMu.RUnlock()
-		s.met.shedDraining.Add(1)
-		return false, 0, ErrDraining
+	start, err := s.admit([]int{sh.idx}, false, 0)
+	if err != nil {
+		return false, 0, err
 	}
-	if over := s.overHighWater([]int{sh.idx}, 0); over != nil {
-		s.routeMu.RUnlock()
-		over.offered.Add(1)
-		over.shed.Add(1)
-		return false, 0, ErrOverloaded
-	}
-	s.met.admitted.Add(1)
-	s.inflight.Add(1)
+	defer s.done()
 	sh.mu.Lock()
 	st, v := sh.st, sh.version
 	sh.mu.Unlock()
-	s.routeMu.RUnlock()
+	s.unroute(false)
 
-	start := time.Now()
 	done := sched.NewCell[bool](s.rt.RT)
 	// The walk reads the shard's published tree, so hint it at the
 	// shard's preferred worker (NoAffinity under the baseline policy
@@ -498,46 +517,23 @@ func (s *Server) Contains(key int) (bool, uint64, error) {
 	}, sh.pref)
 	ok, err := done.ReadErr()
 	sh.lat.record(time.Since(start))
-	s.met.completed.Add(1)
-	s.inflight.Done()
 	return ok, v, err
 }
 
 // cutSnapshot admits one scatter-gather read and returns per-shard
-// snapshots forming a consistent cut: the markers are enqueued on every
+// values forming a consistent cut: the markers are enqueued on every
 // shard under the routing write lock, so no mutation's pieces straddle
 // them — every mutation is entirely inside or entirely outside the cut
-// on all the shards it touches.
-func (s *Server) cutSnapshot() ([]snap, Cut, error) { return s.cutSnapshotCost(0) }
-
-// cutSnapshotCost is cutSnapshot with an extra admission weight: DAG
+// on all the shards it touches. cost is extra admission weight: DAG
 // requests charge their node count here, so an over-budget DAG sheds
-// with ErrOverloaded before the planner spends anything on it.
-func (s *Server) cutSnapshotCost(cost int) ([]snap, Cut, error) {
-	s.met.offered.Add(1)
-	if s.state.Load() != stateAccepting {
-		s.met.shedDraining.Add(1)
-		return nil, nil, ErrDraining
+// with ErrOverloaded before the planner spends anything on it. The
+// caller owes a done once it has answered.
+func (s *Server) cutSnapshot(cost int) ([]Value, Cut, time.Time, error) {
+	start, err := s.admit(s.all, true, cost)
+	if err != nil {
+		return nil, nil, start, err
 	}
-	all := make([]int, len(s.shards))
-	for i := range all {
-		all[i] = i
-	}
-	s.routeMu.Lock()
-	if s.state.Load() != stateAccepting {
-		s.routeMu.Unlock()
-		s.met.shedDraining.Add(1)
-		return nil, nil, ErrDraining
-	}
-	if over := s.overHighWater(all, cost); over != nil {
-		s.routeMu.Unlock()
-		over.offered.Add(1)
-		over.shed.Add(1)
-		return nil, nil, ErrOverloaded
-	}
-	s.met.admitted.Add(1)
-	s.inflight.Add(1)
-	mk := &cutMarker{snaps: make([]snap, len(s.shards))}
+	mk := &cutMarker{vals: make([]Value, len(s.shards)), cut: make(Cut, len(s.shards))}
 	mk.wg.Add(len(s.shards))
 	for _, sh := range s.shards {
 		sh.mu.Lock()
@@ -545,33 +541,22 @@ func (s *Server) cutSnapshotCost(cost int) ([]snap, Cut, error) {
 		sh.mu.Unlock()
 		sh.cond.Signal()
 	}
-	s.routeMu.Unlock()
-
+	s.unroute(true)
 	mk.wg.Wait()
-	cut := make(Cut, len(s.shards))
-	for i, sn := range mk.snaps {
-		cut[i] = sn.version
-	}
-	return mk.snaps, cut, nil
+	return mk.vals, mk.cut, start, nil
 }
 
-// Len returns the number of keys against a consistent cut: per-shard
-// counts run as concurrent scheduler tasks over the cut's snapshots and
-// sum as they resolve.
-func (s *Server) Len() (int, Cut, error) {
-	snaps, cut, err := s.cutSnapshot()
-	if err != nil {
-		return 0, nil, err
-	}
-	start := time.Now()
-	var total atomic.Int64
-	var open atomic.Int64
-	open.Store(int64(len(snaps)))
+// gatherCount sums the cardinalities of one value per shard: the Count
+// walks run as concurrent scheduler tasks, each hinted at its shard's
+// preferred worker, counting subtrees as they materialize; one countdown
+// spans them and whichever walk resolves last writes the total.
+func (s *Server) gatherCount(vals []Value) (int, error) {
+	var total, open atomic.Int64
+	open.Store(int64(len(vals)))
 	done := sched.NewCell[int](s.rt.RT)
-	for i, sn := range snaps {
-		st := sn.st
+	for i, v := range vals {
 		s.rt.RT.Submit(nil, func(w *sched.Worker) {
-			s.be.Len(w, st, func(ctx paralg.Ctx, n int) {
+			s.be.Count(w, v, func(ctx paralg.Ctx, n int) {
 				total.Add(int64(n))
 				if open.Add(-1) == 0 {
 					done.Write(asWorker(ctx), int(total.Load()))
@@ -579,30 +564,44 @@ func (s *Server) Len() (int, Cut, error) {
 			})
 		}, s.shards[i].pref)
 	}
-	n, err := done.ReadErr()
+	return done.ReadErr()
+}
+
+// gatherKeys concatenates one value per shard, blocking until each
+// fully materializes. Shard ranges ascend and every operation preserves
+// them, so the concatenation is globally sorted.
+func (s *Server) gatherKeys(vals []Value) []int {
+	var out []int
+	for _, v := range vals {
+		out = append(out, s.be.Keys(v)...)
+	}
+	return out
+}
+
+// Len returns the number of keys against a consistent cut: the count
+// terminal over the cut's per-shard states.
+func (s *Server) Len() (int, Cut, error) {
+	vals, cut, start, err := s.cutSnapshot(0)
+	if err != nil {
+		return 0, nil, err
+	}
+	defer s.done()
+	n, err := s.gatherCount(vals)
 	s.met.gatherLat.record(time.Since(start))
-	s.met.completed.Add(1)
-	s.inflight.Done()
 	return n, cut, err
 }
 
 // Keys returns the set's contents in ascending order against a
-// consistent cut, blocking until every shard's snapshot fully
-// materializes. It is a verification/debugging endpoint, not a fast
-// path. Shard ranges ascend, so the concatenation is globally sorted.
+// consistent cut: the keys terminal over the cut's per-shard states. It
+// is a verification/debugging endpoint, not a fast path.
 func (s *Server) Keys() ([]int, Cut, error) {
-	snaps, cut, err := s.cutSnapshot()
+	vals, cut, start, err := s.cutSnapshot(0)
 	if err != nil {
 		return nil, nil, err
 	}
-	start := time.Now()
-	var out []int
-	for _, sn := range snaps {
-		out = append(out, s.be.Keys(sn.st)...)
-	}
+	defer s.done()
+	out := s.gatherKeys(vals)
 	s.met.gatherLat.record(time.Since(start))
-	s.met.completed.Add(1)
-	s.inflight.Done()
 	return out, cut, nil
 }
 

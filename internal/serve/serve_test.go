@@ -519,3 +519,36 @@ func TestStealPolicies(t *testing.T) {
 		t.Error("Open accepted an unknown steal policy")
 	}
 }
+
+// TestLatencyIncludesRouteLockWait pins the one latency origin: a
+// request's sample starts inside admit, before the routing lock, so a
+// read that waits behind an exclusive holder (a cross-shard write, a cut
+// marker placement) reports that wait. Contains used to stamp after the
+// lock was released and under-report by exactly the wait.
+func TestLatencyIncludesRouteLockWait(t *testing.T) {
+	s := New(Config{P: 2, Shards: 2, Universe: 100})
+	defer s.Close()
+	const hold = 40 * time.Millisecond
+
+	s.routeMu.Lock()
+	done := make(chan error, 1)
+	go func() {
+		_, _, err := s.Contains(7)
+		done <- err
+	}()
+	// admit stamps the origin, then counts the request offered, then
+	// queues on the routing lock: once offered moves, the stamp is taken
+	// and everything we hold the lock for from here on is inside it.
+	for s.met.offered.Load() == 0 {
+		runtime.Gosched()
+	}
+	time.Sleep(hold)
+	s.routeMu.Unlock()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	xs := s.shards[s.ShardOf(7)].lat.samples()
+	if len(xs) != 1 || time.Duration(xs[0]) < hold {
+		t.Fatalf("Contains waited %v behind the routing lock but recorded samples %v", hold, xs)
+	}
+}

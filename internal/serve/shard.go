@@ -42,11 +42,11 @@ func (r *request) finish(ctx paralg.Ctx, idx int, v uint64) {
 // shardReq is one entry in a shard's queue: a mutation piece, or a cut
 // marker placed by a scatter-gather read.
 type shardReq struct {
-	op   Op
-	opd  Operand
-	keys []int // the piece's sorted distinct keys; set only when persisting
-	req  *request
-	mark *cutMarker
+	op    Op
+	piece Value
+	keys  []int // the piece's sorted distinct keys; set only when persisting
+	req   *request
+	mark  *cutMarker
 }
 
 // cutMarker is enqueued on every shard at one routing instant (under the
@@ -55,13 +55,9 @@ type shardReq struct {
 // the vector of records is a consistent cut: every mutation is either
 // entirely below the markers or entirely above them on all its shards.
 type cutMarker struct {
-	snaps []snap
-	wg    sync.WaitGroup
-}
-
-type snap struct {
-	st      State
-	version uint64
+	vals []Value // slot i written by shard i's applier
+	cut  Cut
+	wg   sync.WaitGroup
 }
 
 // shard owns one key range's root.
@@ -71,7 +67,7 @@ type shard struct {
 	hw  int // admission mark: this shard's share of Config.HighWater
 
 	mu      sync.Mutex
-	st      State
+	st      Value
 	version uint64
 	queue   []shardReq
 	cond    *sync.Cond // applier wakeup: queue non-empty or draining
@@ -106,7 +102,7 @@ type shard struct {
 }
 
 func newShard(s *Server, idx, hw int) *shard {
-	sh := &shard{s: s, idx: idx, hw: hw, st: s.be.Empty(), applierDone: make(chan struct{}), pref: sched.NoAffinity}
+	sh := &shard{s: s, idx: idx, hw: hw, st: s.be.FromKeys(nil, nil), applierDone: make(chan struct{}), pref: sched.NoAffinity}
 	if s.cfg.StealPolicy == StealAffine {
 		sh.pref = s.rt.RT.AffinityFor(idx)
 		sh.actx = s.rt.AffineCtx(sh.pref)
@@ -148,26 +144,43 @@ func (sh *shard) applier() {
 // merge ((A\B1)\B2 = A\(B1∪B2)); intersects and markers stay singleton.
 func coalesceRuns(batch []shardReq) [][]shardReq {
 	var runs [][]shardReq
-	for _, r := range batch {
-		if n := len(runs); n > 0 && r.mark == nil && runs[n-1][0].mark == nil &&
-			coalescible(runs[n-1][0].op, r.op) {
-			runs[n-1] = append(runs[n-1], r)
+	start := 0
+	for i := 1; i <= len(batch); i++ {
+		if i < len(batch) && batch[i].mark == nil && batch[start].mark == nil &&
+			coalescible(batch[start].op, batch[i].op) {
 			continue
 		}
-		runs = append(runs, []shardReq{r})
+		runs = append(runs, batch[start:i]) // the applier owns batch: runs alias it
+		start = i
 	}
 	return runs
 }
 
+// coalescible: same record kind (kindOf folds the insert alias into
+// union) and not an intersect.
 func coalescible(a, b Op) bool {
-	norm := func(o Op) Op {
-		if o == OpInsert {
-			return OpUnion
-		}
-		return o
+	return a != OpIntersect && kindOf(a) == kindOf(b)
+}
+
+// ackGate completes a run's requests once every arm has arrived: the
+// result root published (from the scheduler) and, when persisting, the
+// record durable (from the WAL flusher). Whichever arrives last — on
+// whatever goroutine — releases the acks.
+type ackGate struct {
+	sh   *shard
+	run  []shardReq
+	v    uint64
+	open atomic.Int32
+}
+
+func (g *ackGate) arrive(ctx paralg.Ctx) {
+	if g.open.Add(-1) != 0 {
+		return
 	}
-	a, b = norm(a), norm(b)
-	return a == b && a != OpIntersect
+	for _, r := range g.run {
+		g.sh.lat.record(time.Since(r.req.start))
+		r.req.finish(ctx, g.sh.idx, g.v)
+	}
 }
 
 // dispatch applies one coalesced run (or records one marker) and
@@ -177,35 +190,37 @@ func (sh *shard) dispatch(run []shardReq) {
 	if mk := run[0].mark; mk != nil {
 		// The applier is the only writer of st/version, so reading its
 		// own last publication needs no lock.
-		mk.snaps[sh.idx] = snap{st: sh.st, version: sh.version}
+		mk.vals[sh.idx], mk.cut[sh.idx] = sh.st, sh.version
 		mk.wg.Done()
 		return
 	}
 	sh.queued.Add(-int64(len(run)))
 	sh.batches.Add(1)
 
-	be := sh.s.be
+	be, op := sh.s.be, run[0].op
 	// The applier is the sole version writer, so the run's version is
 	// known before publication — which is what lets the WAL record go to
 	// the log *before* the result root is installed.
 	v := sh.version + 1
+	gate := &ackGate{sh: sh, run: run, v: v}
+	gate.open.Store(1) // one arm: the result root published
 
-	var gate *durGate
 	if sh.store != nil {
 		// The record's keys are the coalesced run's merged piece keys,
-		// mirroring Coalesce: (A∪B1)∪B2 = A∪(B1∪B2) and (A\B1)\B2 =
-		// A\(B1∪B2); intersects never coalesce, so a singleton's keys
-		// stand alone.
+		// mirroring the piece coalescing below: (A∪B1)∪B2 = A∪(B1∪B2) and
+		// (A\B1)\B2 = A\(B1∪B2); intersects never coalesce, so a
+		// singleton's keys stand alone. The record turning durable is the
+		// gate's second arm.
 		merged := run[0].keys
 		for _, r := range run[1:] {
 			merged = mergeSortedDistinct(merged, r.keys)
 		}
-		gate = &durGate{sh: sh, run: run, v: v}
 		gate.open.Store(2)
-		if err := sh.store.Append(persist.Record{Seq: v, Kind: kindOf(run[0].op), Keys: merged}, gate.durable); err != nil {
+		durable := func() { gate.arrive(nil) }
+		if err := sh.store.Append(persist.Record{Seq: v, Kind: kindOf(op), Keys: merged}, durable); err != nil {
 			// Only a closed WAL or a seq bug lands here (I/O errors are
 			// asynchronous); don't strand the requests.
-			gate.durable()
+			durable()
 		}
 	}
 
@@ -213,26 +228,17 @@ func (sh *shard) dispatch(run []shardReq) {
 	// this shard's preferred worker's mailbox; nil (baseline) injects
 	// them globally. Either way the computed state is identical — the
 	// ctx only picks which worker's cache the pipeline stage starts in.
-	opd := run[0].opd
+	piece := run[0].piece
 	for _, r := range run[1:] {
-		opd = be.Coalesce(sh.actx, run[0].op, opd, r.opd)
+		piece = be.Combine(sh.actx, OpUnion, piece, r.piece)
 	}
-	next := be.Apply(sh.actx, sh.st, run[0].op, opd)
+	next := be.Combine(sh.actx, op, sh.st, piece)
 
 	sh.mu.Lock()
 	sh.version = v
 	sh.st = next
 	sh.mu.Unlock()
 
-	if gate != nil {
-		be.Ready(next, gate.ready)
-		sh.maybeSnapshot(next, v)
-		return
-	}
-	be.Ready(next, func(ctx paralg.Ctx) {
-		for _, r := range run {
-			sh.lat.record(time.Since(r.req.start))
-			r.req.finish(ctx, sh.idx, v)
-		}
-	})
+	be.Ready(next, gate.arrive)
+	sh.maybeSnapshot(next, v)
 }
