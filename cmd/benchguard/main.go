@@ -116,12 +116,8 @@ func main() {
 			rBase := baseN.backendMed[a] / baseN.backendMed[b]
 			rCur := curN.backendMed[a] / curN.backendMed[b]
 			shift := rCur/rBase - 1
-			status := "ok"
-			if shift < -*tolerance {
-				status = fmt.Sprintf("REGRESSED (%s slipped vs %s)", a, b)
-				regressed++
-			} else if 1/(1+shift)-1 > *tolerance {
-				status = fmt.Sprintf("REGRESSED (%s slipped vs %s)", b, a)
+			status, bad := ratioVerdict(a, b, shift, *tolerance)
+			if bad {
 				regressed++
 			}
 			fmt.Printf("%-40s baseline %.3f  current %.3f  shift %+6.1f%%  %s\n",
@@ -194,6 +190,19 @@ func main() {
 	}
 	fmt.Printf("benchguard: %d points, %d backend ratios, and %d SLO points within tolerance of baseline\n",
 		len(keys), len(backends)*(len(backends)-1)/2, sloCompared)
+}
+
+// ratioVerdict judges the shift of the a/b median ratio between the
+// files: a slipped when a/b fell more than tolerance, b slipped when
+// b/a = 1/(1+shift) did.
+func ratioVerdict(a, b string, shift, tolerance float64) (status string, regressed bool) {
+	switch {
+	case shift < -tolerance:
+		return fmt.Sprintf("REGRESSED (%s slipped vs %s)", a, b), true
+	case 1/(1+shift)-1 < -tolerance:
+		return fmt.Sprintf("REGRESSED (%s slipped vs %s)", b, a), true
+	}
+	return "ok", false
 }
 
 type ratioCap struct {

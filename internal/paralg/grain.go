@@ -14,12 +14,16 @@ package paralg
 // split.go) recognize chunk operands and run the sequential seqtreap
 // twin of the whole operation, producing a new chunk — a single
 // frontier cell per coarsened subtree where the pipelined path would
-// allocate one cell per node. Sequential-twin safety is a STATIC
-// verdict: RConfig.GrainCutoff is honored only for entry points whose
-// twins the cellcost analysis proved cell-free (verdict.SeqSafeOf,
-// manifest section cell_budget.seqsafe); everything else fails closed
-// to the pipelined path. internal/verifycross re-proves the claim
-// dynamically (zero cells below cutoff, budgets respected above).
+// allocate one cell per node. A chunk against a big tree takes the
+// one-sided path (chunkInto in port.go): the chunk is path-copied apart
+// along the big tree, with cells only where its keys land.
+//
+// Sequential-twin safety is a STATIC verdict: RConfig.GrainCutoff is
+// honored only for entry points whose twins the cellcost analysis
+// proved cell-free (verdict.SeqSafeOf, manifest section
+// cell_budget.seqsafe); everything else fails closed to the pipelined
+// path. internal/verifycross re-proves the claim dynamically (zero
+// cells below cutoff, budgets respected above).
 //
 // Chunk cells are sound under every CellDiscipline: they never suspend
 // a continuation (nothing is ever pending on a born-written cell), so
@@ -49,6 +53,10 @@ type chunkNodeCell struct{ ch *chunk }
 // chunkCell wraps a (possibly nil) seqtreap subtree as a born-written
 // NodeCell. No scheduler cell is allocated, now or ever.
 func chunkCell(t *seqtreap.Node) chunkNodeCell { return chunkNodeCell{&chunk{t: t}} }
+
+// emptyChunk is one shared empty subtree: an empty chunk never memoizes
+// an expansion, so nothing about it is ever written.
+var emptyChunk = chunkCell(nil)
 
 // expand materializes the chunk's root as an RNode with chunk children,
 // memoized so repeated touches share one spine. Racing expanders CAS;

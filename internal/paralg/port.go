@@ -97,10 +97,7 @@ func (c RConfig) Union(ctx Ctx, a, b NodeCell) NodeCell {
 }
 
 func (c RConfig) unionInto(ctx Ctx, d int, a, b NodeCell, out NodeCell) {
-	if ta, tb, ok := c.chunkArgs(a, b); ok {
-		// Treap shapes are priority-determined, so the sequential union
-		// is node-for-node the tree the pipelined recursion would build.
-		out.Write(ctx, chunkTop(seqtreap.Union(ta, tb)))
+	if c.chunkInto(ctx, d, opUnion, a, b, out) {
 		return
 	}
 	c.fork(ctx, d, func(ctx Ctx) {
@@ -188,8 +185,7 @@ func (c RConfig) Diff(ctx Ctx, a, b NodeCell) NodeCell {
 }
 
 func (c RConfig) diffInto(ctx Ctx, d int, a, b, out NodeCell) {
-	if ta, tb, ok := c.chunkArgs(a, b); ok {
-		out.Write(ctx, chunkTop(seqtreap.Diff(ta, tb)))
+	if c.chunkInto(ctx, d, opDiff, a, b, out) {
 		return
 	}
 	c.fork(ctx, d, func(ctx Ctx) {
@@ -229,8 +225,7 @@ func (c RConfig) Intersect(ctx Ctx, a, b NodeCell) NodeCell {
 }
 
 func (c RConfig) intersectInto(ctx Ctx, d int, a, b, out NodeCell) {
-	if ta, tb, ok := c.chunkArgs(a, b); ok {
-		out.Write(ctx, chunkTop(seqtreap.Intersect(ta, tb)))
+	if c.chunkInto(ctx, d, opIntersect, a, b, out) {
 		return
 	}
 	c.fork(ctx, d, func(ctx Ctx) {
@@ -258,6 +253,125 @@ func (c RConfig) intersectInto(ctx Ctx, d int, a, b, out NodeCell) {
 			})
 		})
 	})
+}
+
+// setOp names the three set operations that share the chunk paths below.
+type setOp uint8
+
+const (
+	opUnion setOp = iota
+	opDiff
+	opIntersect
+)
+
+// seq is the operation's sequential seqtreap twin.
+func (op setOp) seq(a, b *seqtreap.Node) *seqtreap.Node {
+	switch op {
+	case opUnion:
+		return seqtreap.Union(a, b)
+	case opDiff:
+		return seqtreap.Diff(a, b)
+	}
+	return seqtreap.Intersect(a, b)
+}
+
+// chunkInto is the below-cutoff front of unionInto, diffInto and
+// intersectInto: it computes op(a, b) into out and reports true when a
+// chunk operand lets it skip the general recursion. Two chunks run the
+// sequential twin outright — treap shapes are priority-determined, so
+// the result is node-for-node the tree the pipelined recursion would
+// build. One chunk against a big tree (either side for the commutative
+// ops, only the removed side for diff) forks once and walks just the
+// big-side paths the chunk's keys touch: O(m·lg(n/m)) work, where the
+// general recursion would pay a fork and cells at every level of the
+// big tree, even for an empty side.
+func (c RConfig) chunkInto(ctx Ctx, d int, op setOp, a, b, out NodeCell) bool {
+	ta, okA := c.chunkArg(a)
+	tb, okB := c.chunkArg(b)
+	switch {
+	case okA && okB:
+		out.Write(ctx, chunkTop(op.seq(ta, tb)))
+	case okB:
+		c.fork(ctx, d, func(ctx Ctx) { c.smallInto(ctx, d, op, a, tb, out) })
+	case okA && op != opDiff:
+		c.fork(ctx, d, func(ctx Ctx) { c.smallInto(ctx, d, op, b, ta, out) })
+	default:
+		return false
+	}
+	return true
+}
+
+// smallInto computes op(big, s) into out, inline in the calling task,
+// for a below-cutoff seqtreap s. At each big-side node it path-copies s
+// apart at the node's key (seqtreap.SplitM) and writes the output node
+// as soon as its key is decided, before its children, so the root is
+// written after O(1) work and consumers pipeline behind it exactly as
+// they do behind the general recursion. Only a child whose share of s
+// is non-empty gets a fresh cell; otherwise the output reuses the big
+// child (union, diff: nothing to add or remove there) or the empty
+// chunk (intersect).
+func (c RConfig) smallInto(ctx Ctx, d int, op setOp, big NodeCell, s *seqtreap.Node, out NodeCell) {
+	if s == nil { // an empty chunk operand, at entry only
+		if op == opIntersect {
+			out.Write(ctx, nil)
+		} else {
+			big.Touch(ctx, out.Write)
+		}
+		return
+	}
+	if tb, ok := c.chunkArg(big); ok {
+		out.Write(ctx, chunkTop(op.seq(tb, s)))
+		return
+	}
+	big.Touch(ctx, func(ctx Ctx, n *RNode) {
+		if n == nil {
+			if op == opUnion {
+				out.Write(ctx, chunkTop(s))
+			} else {
+				out.Write(ctx, nil)
+			}
+			return
+		}
+		// The output node is the big node with s split around its key —
+		// or, when the chunk's root outranks it (union only), the chunk's
+		// root with the big side split around it by one general step.
+		key, prio, bl, br := n.Key, n.Prio, n.Left, n.Right
+		var sl, sr, dup *seqtreap.Node
+		if op == opUnion && s.Prio > n.Prio {
+			key, prio, sl, sr = s.Key, s.Prio, s.Left, s.Right
+			bl, br, _ = c.rsplitM(ctx, d, s.Key, n)
+		} else {
+			sl, sr, dup = seqtreap.SplitM(n.Key, s)
+		}
+		l, r := c.smallChild(op, bl, sl), c.smallChild(op, br, sr)
+		// Union keeps every node; diff keeps the big node unless s holds
+		// its key, intersect only if s does.
+		keep := op == opUnion || (dup != nil) == (op == opIntersect)
+		if keep {
+			out.Write(ctx, &RNode{Key: key, Prio: prio, Left: l, Right: r})
+		}
+		if sl != nil {
+			c.smallInto(ctx, d+1, op, bl, sl, l)
+		}
+		if sr != nil {
+			c.smallInto(ctx, d+1, op, br, sr, r)
+		}
+		if !keep {
+			c.joinInto(ctx, d, l, r, out)
+		}
+	})
+}
+
+// smallChild picks the output cell for a big-side child meeting its
+// share s of the chunk (see smallInto).
+func (c RConfig) smallChild(op setOp, big NodeCell, s *seqtreap.Node) NodeCell {
+	switch {
+	case s != nil:
+		return c.newNode()
+	case op == opIntersect:
+		return emptyChunk
+	}
+	return big
 }
 
 // Join joins two treaps where every key of a precedes every key of b.

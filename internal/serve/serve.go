@@ -143,8 +143,10 @@ const DefaultHighWater = 4096
 // DefaultGrainCutoff is the cell-amortization grain used when
 // Config.GrainCutoff is 0. At 32 a shard batch's below-cutoff subtrees —
 // the bulk of a typical mutation's key pieces — cost one cell each
-// instead of one per node, while splits at or above the cutoff still
-// pipeline normally.
+// instead of one per node, and a piece of at most 32 keys meets its
+// shard's root on paralg's one-sided chunk path: one fork, cells only
+// along the root paths its keys touch, root still written first. Larger
+// pieces pipeline normally until their subtrees fall under the cutoff.
 const DefaultGrainCutoff = 32
 
 // DefaultUniverse is the key-range hint used when Config.Universe ≤ 0.

@@ -190,15 +190,17 @@ func (sp *staticPkg) budget(spec string, class Class) (Budget, error) {
 // paralg chunk helpers that wrap its output. The seqsafe verdict holds
 // only if EVERY twin is proven cell-free; entries absent from this
 // table never get a verdict and therefore never honor GrainCutoff.
+// seqtreap.SplitM is the one-sided chunk path's twin: a chunk against a
+// big tree is path-copied apart at each big-side key.
 var seqTwins = map[string][]string{
 	"paralg.RConfig.Merge":       {"paralg.chunkMerge", "paralg.chunkSplitGE", "paralg.chunkTop"},
-	"paralg.RConfig.Union":       {"seqtreap.Union", "paralg.chunkTop"},
-	"paralg.RConfig.Diff":        {"seqtreap.Diff", "paralg.chunkTop"},
-	"paralg.RConfig.Intersect":   {"seqtreap.Intersect", "paralg.chunkTop"},
+	"paralg.RConfig.Union":       {"seqtreap.Union", "seqtreap.SplitM", "paralg.chunkTop"},
+	"paralg.RConfig.Diff":        {"seqtreap.Diff", "seqtreap.SplitM", "paralg.chunkTop"},
+	"paralg.RConfig.Intersect":   {"seqtreap.Intersect", "seqtreap.SplitM", "paralg.chunkTop"},
 	"paralg.RConfig.Join":        {"seqtreap.Join", "paralg.chunkTop"},
 	"paralg.RConfig.BuildTreap":  {"seqtreap.FromKeys", "paralg.chunkTop"},
-	"paralg.RConfig.InsertKeys":  {"seqtreap.Union", "seqtreap.FromKeys", "paralg.chunkTop"},
-	"paralg.RConfig.DeleteKeys":  {"seqtreap.Diff", "seqtreap.FromKeys", "paralg.chunkTop"},
+	"paralg.RConfig.InsertKeys":  {"seqtreap.Union", "seqtreap.SplitM", "seqtreap.FromKeys", "paralg.chunkTop"},
+	"paralg.RConfig.DeleteKeys":  {"seqtreap.Diff", "seqtreap.SplitM", "seqtreap.FromKeys", "paralg.chunkTop"},
 	"paralg.RConfig.Split":       {"paralg.chunkSplitGE", "paralg.chunkTop"},
 	"paralg.RConfig.SplitRanges": {"paralg.chunkSplitGE", "paralg.chunkTop"},
 }
