@@ -6,17 +6,16 @@ package flow
 // already been SEQUENCED before it — by straight-line order, by a call
 // that writes the cell on every path before returning, or because the
 // cell arrives prewritten (Done/NowCell) or materialized from the
-// caller. A forwarded flow never suspends, so its cells can be compiled
-// to sched.ForwardedCell, which has no suspension machinery at all.
+// caller. A forwarded flow never suspends on any of its cells.
 //
 // The analysis is deliberately stricter than mustwrite's "handled"
 // discipline: mustwrite discharges a cell once a CONCURRENT producer is
 // spawned for it (the write will happen, some time), which is exactly
-// what a forwarded cell cannot tolerate — the touch might still run
+// what a forwarded flow cannot tolerate — the touch might still run
 // first. Here a fork discharges nothing; only synchronous writes count.
 //
 // Approximation boundary (documented, and backstopped by the dynamic
-// verifycross lane plus the fail-closed panic in the cells themselves):
+// verifycross lane, which checks every claim on recorded DAGs):
 // values obtained outside cell tracking — typically tree nodes returned
 // by a touch — are treated as deeply materialized, i.e. cells reached
 // through their fields (OZero-rooted chains) are considered written.

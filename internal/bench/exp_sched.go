@@ -184,35 +184,5 @@ func runSched(cfg Config, w io.Writer) error {
 	}
 	tg.Note("grain depth 0 runs the portable code sequentially on both runtimes; 64 forks at every recursion step")
 	tg.Note("host has %d CPUs", maxP)
-	if err := tg.Fprint(w); err != nil {
-		return err
-	}
-
-	// Cell-variant ablation: the same pipelined union under the general
-	// cells (SharedCells) and the verdict-manifest specialization
-	// (LinearCells) — general-vs-specialized cost end to end, with the
-	// specialization counters proving the variants actually engaged.
-	tv := NewTable(
-		fmt.Sprintf("Cell-variant ablation: pipelined union, n = m = 2^%d, p = %d, grain depth %d",
-			lgInt(n), maxP, grain),
-		"discipline", "time", "spawns", "susp", "lin", "linsusp", "fwd")
-	for _, dc := range []struct {
-		name string
-		disc paralg.CellDiscipline
-	}{{"shared", paralg.SharedCells}, {"linear", paralg.LinearCells}} {
-		s := paralg.NewSchedRuntime(maxP)
-		b1, b2 := paralg.RFromSeqTreap(s, ta), paralg.RFromSeqTreap(s, tbp)
-		c := paralg.RConfig{R: s, SpawnDepth: grain, Discipline: dc.disc}
-		f := func() { paralg.RWait(c.Union(nil, b1, b2)) }
-		ts := timeIt(f)
-		prev := s.RT.Counters()
-		f()
-		d := s.RT.Counters().Sub(prev)
-		s.Close()
-		tv.Row(dc.name, ts.String(), I(d.Spawns), I(d.Suspensions),
-			I(d.LinearTouches), I(d.LinearSuspensions), I(d.ForwardedTouches))
-	}
-	tv.Note("shared rows allocate general cells for every fresh edge; linear rows swap in sched.LinearCell wherever the verdict manifest classifies the entry as linear (fwd counts touches on born-written input nodes — forwarded under both disciplines)")
-	tv.Note("measured: within noise here — linear flows never make the general cell's CAS loop retry, so the structural saving is bounded; the variants' value is the fail-closed class contract (see EXPERIMENTS.md X-CELLVAR)")
-	return tv.Fprint(w)
+	return tg.Fprint(w)
 }

@@ -67,7 +67,7 @@ func runServe(cfg Config, w io.Writer) error {
 	tb := NewTable(
 		fmt.Sprintf("Serving sweep: mixed set ops (40%% union / 25%% diff / 5%% intersect / 30%% reads), %d requests per client, universe %d, highwater %d",
 			reqPerClient, universe, serve.DefaultHighWater),
-		"backend", "p", "k", "clients", "time", "req/s", "admitted", "shed", "batches", "p50", "p99", "spawns", "susp", "cells", "lin/fwd")
+		"backend", "p", "k", "clients", "time", "req/s", "admitted", "shed", "batches", "p50", "p99", "spawns", "susp", "cells")
 	for _, backend := range serve.KnownBackends() {
 		for _, p := range ps {
 			for _, shards := range shardSweep {
@@ -93,9 +93,7 @@ func runServe(cfg Config, w io.Writer) error {
 					tb.Row(backend, I(int64(p)), I(int64(shards)), I(int64(clients)), elapsed.String(),
 						F(reqps), I(m.Admitted), I(m.ShedOverload), I(m.Batches),
 						time.Duration(m.P50Nanos).String(), time.Duration(m.P99Nanos).String(),
-						I(m.Spawns), I(m.Suspensions),
-						I(m.CellsShared+m.CellsLinear+m.CellsForwarded),
-						fmt.Sprintf("%d/%d", m.LinearTouches, m.ForwardedTouches))
+						I(m.Spawns), I(m.Suspensions), I(m.CellsShared+m.CellsForwarded))
 					cfg.EmitJSON(ServePoint{
 						Exp: "serve", Backend: backend, P: p, Shards: shards, Clients: clients,
 						ReqPerSec: reqps, Admitted: m.Admitted, Shed: m.ShedOverload,
@@ -109,7 +107,6 @@ func runServe(cfg Config, w io.Writer) error {
 	tb.Note("batches < admitted mutations means the appliers coalesced adjacent same-kind requests")
 	tb.Note("treap pipelines across batches (apply returns at root publication); t26 materializes each batch before the next")
 	tb.Note("measured: t26 still wins raw req/s — every above-cutoff treap node access is a scheduler cell (compare the cells column) — but the treap runs at the default GrainCutoff 32 here, which cuts its cell bill ~2.2× vs the fully pipelined plan (see the grain-cutoff ablation) and closes the gap from ~9× to ~5×; the treap's pipelining shows in suspensions ≫ and smaller coalesced runs (its appliers never block, so queues stay short)")
-	tb.Note("lin/fwd: touches on specialized cell variants (DESIGN.md \"Verdict-driven cell specialization\") — the treap backend pins SharedCells (lin stays 0: published roots are touched concurrently pre-write), the t26 backend pins LinearCells (fresh cells come from the verdict manifest's linear class)")
 	if err := tb.Fprint(w); err != nil {
 		return err
 	}
@@ -148,7 +145,7 @@ func runServe(cfg Config, w io.Writer) error {
 		}
 		tbg.Row(I(int64(label)), elapsed.String(),
 			F(float64(m.Offered)/elapsed.Seconds()), I(m.Admitted), I(m.Batches),
-			I(m.CellsShared+m.CellsLinear+m.CellsForwarded), I(m.Spawns), I(m.Suspensions))
+			I(m.CellsShared+m.CellsForwarded), I(m.Spawns), I(m.Suspensions))
 	}
 	tbg.Note("cutoff 0 = coarsening off; the knob only fires for entry points the verdict manifest proves seqsafe (fail closed)")
 	tbg.Note("batch length is 32, so cutoff 32 puts whole mutation operands below the grain; 128 additionally swallows post-split pieces")

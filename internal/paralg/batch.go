@@ -34,10 +34,10 @@ func (c RConfig) rbuildTreap(ctx Ctx, d int, keys []int) NodeCell {
 		return RFromSeqTreap(c.R, t)
 	}
 	half := len(keys) / 2
-	a := c.newNode()
+	a := c.R.NewNode()
 	c.fork(ctx, d, func(ctx Ctx) { c.rbuildTreap(ctx, d+1, keys[:half]).Touch(ctx, a.Write) })
 	b := c.rbuildTreap(ctx, d+1, keys[half:])
-	out := c.newNode()
+	out := c.R.NewNode()
 	c.unionInto(ctx, d, a, b, out)
 	return out
 }
@@ -47,7 +47,7 @@ func (c RConfig) rbuildTreap(ctx Ctx, d int, keys []int) NodeCell {
 // into.
 func (c RConfig) InsertKeys(ctx Ctx, tree NodeCell, keys []int) NodeCell {
 	c = c.classed("paralg.RConfig.InsertKeys")
-	out := c.newNode()
+	out := c.R.NewNode()
 	c.unionInto(ctx, 0, tree, c.BuildTreap(ctx, keys), out)
 	return out
 }

@@ -25,12 +25,10 @@ package paralg
 // path. internal/verifycross re-proves the claim dynamically (zero
 // cells below cutoff, budgets respected above).
 //
-// Chunk cells are sound under every CellDiscipline: they never suspend
-// a continuation (nothing is ever pending on a born-written cell), so
-// the linear/forwarded contracts hold vacuously, and the lazy expansion
-// race is benign — RNodes are immutable, seqtreap subtrees are shared
-// persistently, and a CAS loser's node is discarded before anyone sees
-// it.
+// Chunk cells never suspend a continuation (nothing is ever pending on
+// a born-written cell), and the lazy expansion race is benign — RNodes
+// are immutable, seqtreap subtrees are shared persistently, and a CAS
+// loser's node is discarded before anyone sees it.
 
 import (
 	"sync/atomic"
@@ -78,7 +76,7 @@ func (c chunkNodeCell) expand() *RNode {
 }
 
 // Write implements NodeCell. A chunk cell is born written; a second
-// write is the same single-assignment violation it is on every variant.
+// write is the same single-assignment violation it is on every cell.
 func (c chunkNodeCell) Write(Ctx, *RNode) {
 	panic("paralg: write of a chunk cell (born written)")
 }

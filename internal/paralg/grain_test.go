@@ -127,7 +127,7 @@ func TestGrainCutoffZeroCellsBelowCutoff(t *testing.T) {
 	ta := cfg.BuildTreap(nil, all[:48])
 	tb := cfg.BuildTreap(nil, all[48:])
 	d := s.RT.Counters().Sub(before)
-	if n := d.CellsShared + d.CellsLinear + d.CellsForwarded; n != 0 {
+	if n := d.CellsShared + d.CellsForwarded; n != 0 {
 		t.Fatalf("below-cutoff builds allocated %d cells, want 0", n)
 	}
 	if _, ok := ta.(chunkNodeCell); !ok {
@@ -138,7 +138,7 @@ func TestGrainCutoffZeroCellsBelowCutoff(t *testing.T) {
 	out := cfg.Union(nil, ta, tb)
 	RWait(out)
 	d = s.RT.Counters().Sub(before)
-	if n := d.CellsShared + d.CellsLinear + d.CellsForwarded; n != 1 {
+	if n := d.CellsShared + d.CellsForwarded; n != 1 {
 		t.Errorf("below-cutoff union allocated %d cells, want exactly the frontier cell", n)
 	}
 	if !seqtreap.Equal(RToSeqTreap(out), seqtreap.FromKeys(all)) {

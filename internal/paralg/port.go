@@ -29,7 +29,7 @@ import (
 // worker context, or nil from outside the runtime).
 func (c RConfig) Merge(ctx Ctx, a, b NodeCell) NodeCell {
 	c = c.classed("paralg.RConfig.Merge")
-	out := c.newNode()
+	out := c.R.NewNode()
 	c.mergeInto(ctx, 0, a, b, out)
 	return out
 }
@@ -47,7 +47,7 @@ func (c RConfig) mergeInto(ctx Ctx, d int, a, b NodeCell, out NodeCell) {
 				return
 			}
 			lt, ge := c.rsplit(ctx, d, n1.Key, b)
-			nl, nr := c.newNode(), c.newNode()
+			nl, nr := c.R.NewNode(), c.R.NewNode()
 			out.Write(ctx, &RNode{Key: n1.Key, Prio: n1.Prio, Left: nl, Right: nr})
 			c.mergeInto(ctx, d+1, n1.Left, lt, nl)
 			c.mergeInto(ctx, d+1, n1.Right, ge, nr)
@@ -65,7 +65,7 @@ func (c RConfig) rsplit(ctx Ctx, d int, s int, tree NodeCell) (lt, ge NodeCell) 
 		l, g := chunkSplitGE(s, t)
 		return chunkCell(l), chunkCell(g)
 	}
-	lo, ro := c.newNode(), c.newNode()
+	lo, ro := c.R.NewNode(), c.R.NewNode()
 	c.fork(ctx, d, func(ctx Ctx) {
 		tree.Touch(ctx, func(ctx Ctx, n *RNode) {
 			if n == nil {
@@ -91,7 +91,7 @@ func (c RConfig) rsplit(ctx Ctx, d int, s int, tree NodeCell) (lt, ge NodeCell) 
 // 3.2), on runtime c.R.
 func (c RConfig) Union(ctx Ctx, a, b NodeCell) NodeCell {
 	c = c.classed("paralg.RConfig.Union")
-	out := c.newNode()
+	out := c.R.NewNode()
 	c.unionInto(ctx, 0, a, b, out)
 	return out
 }
@@ -116,7 +116,7 @@ func (c RConfig) unionInto(ctx Ctx, d int, a, b NodeCell, out NodeCell) {
 					hi, lo = lo, hi
 				}
 				l2, r2, _ := c.rsplitM(ctx, d, hi.Key, lo)
-				nl, nr := c.newNode(), c.newNode()
+				nl, nr := c.R.NewNode(), c.R.NewNode()
 				out.Write(ctx, &RNode{Key: hi.Key, Prio: hi.Prio, Left: nl, Right: nr})
 				c.unionInto(ctx, d+1, hi.Left, l2, nl)
 				c.unionInto(ctx, d+1, hi.Right, r2, nr)
@@ -129,7 +129,7 @@ func (c RConfig) unionInto(ctx Ctx, d int, a, b NodeCell, out NodeCell) {
 // excluding and reporting s itself if present (Union discards the
 // duplicate cell; Diff and Intersect branch on it).
 func (c RConfig) rsplitM(ctx Ctx, d int, s int, n *RNode) (lt, gt, dup NodeCell) {
-	lo, ro, do := c.newNode(), c.newNode(), c.newNode()
+	lo, ro, do := c.R.NewNode(), c.R.NewNode(), c.R.NewNode()
 	c.fork(ctx, d, func(ctx Ctx) { c.rsplitMBody(ctx, d, s, n, lo, ro, do) })
 	return lo, ro, do
 }
@@ -166,7 +166,7 @@ func (c RConfig) rsplitMCell(ctx Ctx, d int, s int, tree NodeCell) (lt, gt, dup 
 		l, g, du := seqtreap.SplitM(s, t)
 		return chunkCell(l), chunkCell(g), chunkCell(du)
 	}
-	lo, ro, do := c.newNode(), c.newNode(), c.newNode()
+	lo, ro, do := c.R.NewNode(), c.R.NewNode(), c.R.NewNode()
 	c.fork(ctx, d, func(ctx Ctx) {
 		tree.Touch(ctx, func(ctx Ctx, n *RNode) { c.rsplitMBody(ctx, d, s, n, lo, ro, do) })
 	})
@@ -179,7 +179,7 @@ func (c RConfig) rsplitMCell(ctx Ctx, d int, s int, tree NodeCell) (lt, gt, dup 
 // the duplicate cell — but both child differences recurse eagerly.
 func (c RConfig) Diff(ctx Ctx, a, b NodeCell) NodeCell {
 	c = c.classed("paralg.RConfig.Diff")
-	out := c.newNode()
+	out := c.R.NewNode()
 	c.diffInto(ctx, 0, a, b, out)
 	return out
 }
@@ -200,7 +200,7 @@ func (c RConfig) diffInto(ctx Ctx, d int, a, b, out NodeCell) {
 					return
 				}
 				l2, r2, dup := c.rsplitM(ctx, d, n1.Key, n2)
-				l, r := c.newNode(), c.newNode()
+				l, r := c.R.NewNode(), c.R.NewNode()
 				c.diffInto(ctx, d+1, n1.Left, l2, l)
 				c.diffInto(ctx, d+1, n1.Right, r2, r)
 				dup.Touch(ctx, func(ctx Ctx, dn *RNode) {
@@ -219,7 +219,7 @@ func (c RConfig) diffInto(ctx Ctx, d int, a, b, out NodeCell) {
 // extension companion of Union and Diff, pipelined the same way.
 func (c RConfig) Intersect(ctx Ctx, a, b NodeCell) NodeCell {
 	c = c.classed("paralg.RConfig.Intersect")
-	out := c.newNode()
+	out := c.R.NewNode()
 	c.intersectInto(ctx, 0, a, b, out)
 	return out
 }
@@ -240,7 +240,7 @@ func (c RConfig) intersectInto(ctx Ctx, d int, a, b, out NodeCell) {
 					return
 				}
 				l2, r2, dup := c.rsplitM(ctx, d, n1.Key, n2)
-				l, r := c.newNode(), c.newNode()
+				l, r := c.R.NewNode(), c.R.NewNode()
 				c.intersectInto(ctx, d+1, n1.Left, l2, l)
 				c.intersectInto(ctx, d+1, n1.Right, r2, r)
 				dup.Touch(ctx, func(ctx Ctx, dn *RNode) {
@@ -367,7 +367,7 @@ func (c RConfig) smallInto(ctx Ctx, d int, op setOp, big NodeCell, s *seqtreap.N
 func (c RConfig) smallChild(op setOp, big NodeCell, s *seqtreap.Node) NodeCell {
 	switch {
 	case s != nil:
-		return c.newNode()
+		return c.R.NewNode()
 	case op == opIntersect:
 		return emptyChunk
 	}
@@ -377,7 +377,7 @@ func (c RConfig) smallChild(op setOp, big NodeCell, s *seqtreap.Node) NodeCell {
 // Join joins two treaps where every key of a precedes every key of b.
 func (c RConfig) Join(ctx Ctx, a, b NodeCell) NodeCell {
 	c = c.classed("paralg.RConfig.Join")
-	out := c.newNode()
+	out := c.R.NewNode()
 	c.fork(ctx, 0, func(ctx Ctx) { c.joinInto(ctx, 0, a, b, out) })
 	return out
 }
@@ -407,7 +407,7 @@ func (c RConfig) joinInto(ctx Ctx, d int, a, b, out NodeCell) {
 // join below it resolves, so consumers see the result's spine early.
 func (c RConfig) joinNodesInto(ctx Ctx, d int, na, nb *RNode, out NodeCell) {
 	if na.Prio > nb.Prio {
-		right := c.newNode()
+		right := c.R.NewNode()
 		out.Write(ctx, &RNode{Key: na.Key, Prio: na.Prio, Left: na.Left, Right: right})
 		c.fork(ctx, d, func(ctx Ctx) {
 			na.Right.Touch(ctx, func(ctx Ctx, r *RNode) {
@@ -420,7 +420,7 @@ func (c RConfig) joinNodesInto(ctx Ctx, d int, na, nb *RNode, out NodeCell) {
 		})
 		return
 	}
-	left := c.newNode()
+	left := c.R.NewNode()
 	out.Write(ctx, &RNode{Key: nb.Key, Prio: nb.Prio, Left: left, Right: nb.Right})
 	c.fork(ctx, d, func(ctx Ctx) {
 		nb.Left.Touch(ctx, func(ctx Ctx, l *RNode) {
@@ -437,7 +437,7 @@ func (c RConfig) joinNodesInto(ctx Ctx, d int, na, nb *RNode, out NodeCell) {
 // runtime c.R and returns the new root cell immediately.
 func (c RConfig) T26Insert(ctx Ctx, tree T26Cell, ws []int) T26Cell {
 	c = c.classed("paralg.RConfig.T26Insert")
-	out := c.newT26()
+	out := c.R.NewT26()
 	run := func(ctx Ctx) {
 		tree.Touch(ctx, func(ctx Ctx, n *RT26Node) {
 			if len(ws) == 0 {
@@ -536,7 +536,7 @@ func (c RConfig) t26InsertInto(ctx Ctx, d int, n *RT26Node, ws []int, out T26Cel
 }
 
 func (c RConfig) rt26Recurse(ctx Ctx, d int, n *RT26Node, ws []int) T26Cell {
-	out := c.newT26()
+	out := c.R.NewT26()
 	c.fork(ctx, d, func(ctx Ctx) { c.t26InsertInto(ctx, d, n, ws, out) })
 	return out
 }

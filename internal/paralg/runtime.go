@@ -88,10 +88,6 @@ type RConfig struct {
 	// forks at recursion depth < SpawnDepth become runtime tasks, deeper
 	// ones run inline in the caller.
 	SpawnDepth int
-	// Discipline declares how the caller consumes the produced cell
-	// trees; the zero value (SharedCells) disables cell specialization.
-	// See variants.go.
-	Discipline CellDiscipline
 	// GrainCutoff coarsens below-cutoff subtrees into chunk cells (see
 	// grain.go): subtrees of at most GrainCutoff nodes are built and
 	// combined by the plain sequential seqtreap code behind a single
@@ -101,16 +97,28 @@ type RConfig struct {
 	// proof (verdict.SeqSafeOf); other entries ignore it, failing
 	// closed to the fully pipelined path.
 	GrainCutoff int
-	// class is the verdict-manifest flow class of the entry point this
-	// config copy is serving, stamped by classed.
-	class verdict.Class
-	// vr is non-nil when class, Discipline, and the runtime all permit
-	// specialized cells; resolved once in classed.
-	vr VariantRuntime
 	// cutoff is GrainCutoff after the seqsafe gate: non-zero only when
 	// the entry point's sequential twins are proven cell-free, resolved
 	// once in classed.
 	cutoff int
+	// gated records that classed has run on this config copy.
+	gated bool
+}
+
+// classed resolves the GrainCutoff gate for the named entry point onto
+// the config copy that flows through one public call: the knob is
+// honored only when the verdict manifest proves the entry's below-cutoff
+// sequential twins cell-free (see grain.go), and otherwise fails closed
+// to the fully pipelined path. The first stamp wins, so an entry point
+// calling another keeps the gate of the call the user actually made.
+func (c RConfig) classed(entry string) RConfig {
+	if !c.gated {
+		c.gated = true
+		if c.GrainCutoff > 0 && verdict.SeqSafeOf(entry) {
+			c.cutoff = c.GrainCutoff
+		}
+	}
+	return c
 }
 
 // fork runs f as a task when the depth is above the grain, else inline.

@@ -71,34 +71,16 @@ func (s *SchedRuntime) Fork(ctx Ctx, f func(Ctx)) {
 // NewNode implements Runtime.
 func (s *SchedRuntime) NewNode() NodeCell { return schedNodeCell{sched.NewCell[*RNode](s.RT)} }
 
-// DoneNode implements Runtime. A born-written cell is the degenerate
-// forwarded flow, so it always uses the suspension-free forwarded
-// variant — sound under every discipline. The allocation is attributed
-// to the runtime's cell counters (ForwardedDoneOn) so per-runtime cell
-// budgets include converter-built input trees.
-func (s *SchedRuntime) DoneNode(n *RNode) NodeCell {
-	return fwdNodeCell{sched.ForwardedDoneOn(s.RT, n)}
-}
+// DoneNode implements Runtime. The allocation is attributed to the
+// runtime's cell counters (sched.DoneOn) so per-runtime cell budgets
+// include converter-built input trees.
+func (s *SchedRuntime) DoneNode(n *RNode) NodeCell { return schedNodeCell{sched.DoneOn(s.RT, n)} }
 
 // NewT26 implements Runtime.
 func (s *SchedRuntime) NewT26() T26Cell { return schedT26Cell{sched.NewCell[*RT26Node](s.RT)} }
 
 // DoneT26 implements Runtime.
-func (s *SchedRuntime) DoneT26(n *RT26Node) T26Cell {
-	return fwdT26Cell{sched.ForwardedDoneOn(s.RT, n)}
-}
-
-// NewNodeLinear implements VariantRuntime.
-func (s *SchedRuntime) NewNodeLinear() NodeCell {
-	return linearNodeCell{sched.NewLinearCell[*RNode](s.RT)}
-}
-
-// NewT26Linear implements VariantRuntime.
-func (s *SchedRuntime) NewT26Linear() T26Cell {
-	return linearT26Cell{sched.NewLinearCell[*RT26Node](s.RT)}
-}
-
-var _ VariantRuntime = (*SchedRuntime)(nil)
+func (s *SchedRuntime) DoneT26(n *RT26Node) T26Cell { return schedT26Cell{sched.DoneOn(s.RT, n)} }
 
 // asWorker recovers the scheduling context; a nil or foreign ctx means
 // "not on a worker", which sched treats as an external submission.
@@ -107,6 +89,11 @@ func asWorker(ctx Ctx) *sched.Worker {
 	return w
 }
 
+// The cell wrappers are deliberately concrete single-pointer structs: a
+// struct holding one pointer is pointer-shaped, so converting it to the
+// NodeCell/T26Cell interface allocates nothing. (A two-word wrapper
+// forces a heap box per cell creation; X-CELLVAR measured that at a 33%
+// end-to-end regression.)
 type schedNodeCell struct{ c *sched.Cell[*RNode] }
 
 func (s schedNodeCell) Write(ctx Ctx, n *RNode) { s.c.Write(asWorker(ctx), n) }
@@ -122,43 +109,3 @@ func (s schedT26Cell) Touch(ctx Ctx, k func(Ctx, *RT26Node)) {
 	s.c.Touch(asWorker(ctx), func(w *sched.Worker, n *RT26Node) { k(w, n) })
 }
 func (s schedT26Cell) Read() *RT26Node { return s.c.Read() }
-
-// The variant wrappers below are deliberately concrete single-pointer
-// structs, like schedNodeCell: a struct holding one pointer is
-// pointer-shaped, so converting it to the NodeCell/T26Cell interface
-// allocates nothing. (An earlier draft held a sched.AnyCell interface
-// inside the wrapper; the resulting two-word struct forced a heap box
-// per cell creation and cost more than the variants saved.)
-type linearNodeCell struct{ c *sched.LinearCell[*RNode] }
-
-func (s linearNodeCell) Write(ctx Ctx, n *RNode) { s.c.Write(asWorker(ctx), n) }
-func (s linearNodeCell) Touch(ctx Ctx, k func(Ctx, *RNode)) {
-	s.c.Touch(asWorker(ctx), func(w *sched.Worker, n *RNode) { k(w, n) })
-}
-func (s linearNodeCell) Read() *RNode { return s.c.Read() }
-
-type fwdNodeCell struct{ c *sched.ForwardedCell[*RNode] }
-
-func (s fwdNodeCell) Write(ctx Ctx, n *RNode) { s.c.Write(asWorker(ctx), n) }
-func (s fwdNodeCell) Touch(ctx Ctx, k func(Ctx, *RNode)) {
-	s.c.Touch(asWorker(ctx), func(w *sched.Worker, n *RNode) { k(w, n) })
-}
-func (s fwdNodeCell) Read() *RNode { return s.c.Read() }
-
-type linearT26Cell struct{ c *sched.LinearCell[*RT26Node] }
-
-func (s linearT26Cell) Write(ctx Ctx, n *RT26Node) { s.c.Write(asWorker(ctx), n) }
-func (s linearT26Cell) Touch(ctx Ctx, k func(Ctx, *RT26Node)) {
-	s.c.Touch(asWorker(ctx), func(w *sched.Worker, n *RT26Node) { k(w, n) })
-}
-func (s linearT26Cell) Read() *RT26Node { return s.c.Read() }
-
-type fwdT26Cell struct {
-	c *sched.ForwardedCell[*RT26Node]
-}
-
-func (s fwdT26Cell) Write(ctx Ctx, n *RT26Node) { s.c.Write(asWorker(ctx), n) }
-func (s fwdT26Cell) Touch(ctx Ctx, k func(Ctx, *RT26Node)) {
-	s.c.Touch(asWorker(ctx), func(w *sched.Worker, n *RT26Node) { k(w, n) })
-}
-func (s fwdT26Cell) Read() *RT26Node { return s.c.Read() }

@@ -128,7 +128,7 @@ func TestSmallOpCountGolden(t *testing.T) {
 				t.Errorf("%s of %d keys disagrees with the oracle", op.name, m)
 			}
 			got[op.name+"/"+strconv.Itoa(m)] = smallOpCounts{
-				Cells:  d.CellsShared + d.CellsLinear + d.CellsForwarded,
+				Cells:  d.CellsShared + d.CellsForwarded,
 				Spawns: d.Spawns,
 			}
 		}

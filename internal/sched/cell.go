@@ -62,6 +62,16 @@ func Done[T any](v T) *Cell[T] {
 	return c
 }
 
+// DoneOn is Done with the allocation counted in rt's CellsForwarded, so
+// per-runtime cell totals include converter-built input trees. The cell
+// itself still belongs to no runtime; rt is only the accounting target.
+func DoneOn[T any](rt *Runtime, v T) *Cell[T] {
+	if rt != nil {
+		rt.cellsForwarded.Add(1)
+	}
+	return Done(v)
+}
+
 // Write stores v, then requeues every suspended continuation onto w's
 // deque (or the injection queue when w is nil). w follows the Fork
 // contract: the worker the caller is running on, or nil from outside.

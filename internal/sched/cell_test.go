@@ -96,6 +96,45 @@ func TestDoneCell(t *testing.T) {
 	}
 }
 
+// TestDoneOn pins the born-written cell every converted input node is:
+// DoneOn counts exactly one forwarded allocation (Done counts none), a
+// touch runs inline without suspending, the value stays readable after
+// the runtime it was counted on shuts down, and a write panics.
+func TestDoneOn(t *testing.T) {
+	rt := NewRuntime(1)
+	before := rt.Counters()
+	_ = Done(1)
+	if d := rt.Counters().Sub(before); d.CellsForwarded != 0 || d.CellsShared != 0 {
+		t.Fatalf("Done counted cells: %v", d)
+	}
+	c := DoneOn(rt, 42)
+	d := rt.Counters().Sub(before)
+	if d.CellsForwarded != 1 || d.CellsShared != 0 {
+		t.Fatalf("DoneOn: forwarded=%d shared=%d, want 1/0", d.CellsForwarded, d.CellsShared)
+	}
+	ran := false
+	c.Touch(nil, func(_ *Worker, v int) { ran = v == 42 })
+	if !ran {
+		t.Fatal("Touch on a DoneOn cell must run inline")
+	}
+	if got := rt.Counters().Suspensions; got != 0 {
+		t.Fatalf("suspensions = %d, want 0", got)
+	}
+	rt.Shutdown()
+	if v, err := c.ReadErr(); err != nil || v != 42 {
+		t.Fatalf("ReadErr after Shutdown = %d, %v; want 42, nil", v, err)
+	}
+	if c.Read() != 42 {
+		t.Fatal("Read after Shutdown mismatch")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic on write of a born-written cell")
+		}
+	}()
+	c.Write(nil, 7)
+}
+
 // TestCellTouchWriteRace hammers the suspend/write race: many cells, each
 // with concurrent touchers racing one writer; every continuation must run
 // exactly once.
@@ -142,4 +181,45 @@ func TestExternalReadBlocksUntilWrite(t *testing.T) {
 		t.Fatalf("external Read = %d, want 42", got)
 	}
 	rt.Wait()
+}
+
+// BenchmarkCell measures the cell's three paths: a touch that finds the
+// value written (the hot path of every pipelined walk, on a fresh and on
+// a born-written cell), allocate+write with no waiters, and the
+// park/requeue round trip. EXPERIMENTS.md X-CELLVAR records the numbers;
+// rerun with
+//
+//	go test -run '^$' -bench 'Cell$' -benchtime 1000000x ./internal/sched/
+func BenchmarkCell(b *testing.B) {
+	rt := NewRuntime(1)
+	defer rt.Shutdown()
+
+	touch := func(b *testing.B, c *Cell[int]) {
+		sink := 0
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			c.Touch(nil, func(_ *Worker, v int) { sink += v })
+		}
+		_ = sink
+	}
+	b.Run("touch-written", func(b *testing.B) {
+		c := NewCell[int](rt)
+		c.Write(nil, 7)
+		touch(b, c)
+	})
+	b.Run("done-touch", func(b *testing.B) { touch(b, DoneOn(rt, 7)) })
+	b.Run("alloc-write", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			NewCell[int](rt).Write(nil, i)
+		}
+	})
+	b.Run("park-write", func(b *testing.B) {
+		done := make(chan int)
+		for i := 0; i < b.N; i++ {
+			c := NewCell[int](rt)
+			c.Touch(nil, func(_ *Worker, v int) { done <- v })
+			c.Write(nil, i)
+			<-done
+		}
+	})
 }

@@ -131,17 +131,12 @@ type Metrics struct {
 	Deviations  int64 `json:"deviations"`
 	MailboxHits int64 `json:"mailbox_hits"`
 
-	// Specialized-cell traffic (see DESIGN.md "Verdict-driven cell
-	// specialization"): nonzero LinearTouches means the backend's pinned
-	// discipline let the verdict manifest swap in cheaper cell variants.
-	LinearTouches     int64 `json:"linear_touches"`
-	LinearSuspensions int64 `json:"linear_suspensions"`
-	ForwardedTouches  int64 `json:"forwarded_touches"`
-
-	// Scheduler cells allocated, by variant. GrainCutoff is the server's
-	// effective cell-amortization grain; raising it should push these
-	// counts down on the treap backend (subtrees below the cutoff ride
-	// behind chunk cells the scheduler never sees).
+	// Scheduler cells allocated, fresh (CellsShared) and born written
+	// (CellsForwarded); CellsLinear always reads 0 (see
+	// sched.Counters). GrainCutoff is the server's effective
+	// cell-amortization grain; raising it should push these counts down
+	// on the treap backend (subtrees below the cutoff ride behind chunk
+	// cells the scheduler never sees).
 	GrainCutoff    int   `json:"grain_cutoff"`
 	CellsShared    int64 `json:"cells_shared"`
 	CellsLinear    int64 `json:"cells_linear"`
@@ -235,12 +230,8 @@ func (s *Server) Metrics() Metrics {
 	m.BusyNanos = c.BusyNanos
 	m.Deviations = c.Deviations
 	m.MailboxHits = c.MailboxHits
-	m.LinearTouches = c.LinearTouches
-	m.LinearSuspensions = c.LinearSuspensions
-	m.ForwardedTouches = c.ForwardedTouches
 	m.GrainCutoff = s.cfg.GrainCutoff
 	m.CellsShared = c.CellsShared
-	m.CellsLinear = c.CellsLinear
 	m.CellsForwarded = c.CellsForwarded
 	return m
 }

@@ -44,31 +44,6 @@ func TestParseClass(t *testing.T) {
 	}
 }
 
-func TestClassOf(t *testing.T) {
-	// Analyzed entries answer for themselves.
-	if got := ClassOf("costalg.Join"); got != Forwarded {
-		t.Errorf("ClassOf(costalg.Join) = %q, want forwarded", got)
-	}
-	if got := ClassOf("costalg.Merge"); got != Linear {
-		t.Errorf("ClassOf(costalg.Merge) = %q, want linear", got)
-	}
-	// Unanalyzed RConfig ports inherit their witness group's meet.
-	if got := ClassOf("paralg.RConfig.Merge"); got != Linear {
-		t.Errorf("ClassOf(paralg.RConfig.Merge) = %q, want linear (group meet)", got)
-	}
-	if got := ClassOf("paralg.RConfig.Join"); got != Forwarded {
-		t.Errorf("ClassOf(paralg.RConfig.Join) = %q, want forwarded (group meet)", got)
-	}
-	// The split group has no analyzed member: sound fallback.
-	if got := ClassOf("paralg.RConfig.Split"); got != General {
-		t.Errorf("ClassOf(paralg.RConfig.Split) = %q, want general", got)
-	}
-	// Unknown entries get the always-sound fallback.
-	if got := ClassOf("paralg.RConfig.Nonesuch"); got != General {
-		t.Errorf("ClassOf(unknown) = %q, want general", got)
-	}
-}
-
 // pipelinedTrace records a fork whose result cell the main thread
 // touches with only a data edge ordering it after the write (in
 // schedule terms the touch races the write): a legal linear flow that

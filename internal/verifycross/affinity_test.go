@@ -1,7 +1,6 @@
 package verifycross
 
 import (
-	"fmt"
 	"testing"
 
 	"pipefut/internal/paralg"
@@ -12,15 +11,13 @@ import (
 
 // The locality machinery (affinity hints, per-worker mailboxes,
 // steal-half) is pure scheduling: it may move tasks between workers but
-// must never change what any operation computes, and it must never
-// violate the linearity verdicts the cell-specialization manifest
-// relies on (a LinearCell whose single slot is double-armed panics, so
-// running the same DAGs through the affine paths is a dynamic check
-// that the verdicts stay sound under mailbox delivery and steal-half
-// migration). This file replays the same recorded operation shapes as
-// the plain-Submit lanes, once with a nil ctx (global injection) and
-// once through AffineCtx for every worker, under both cell disciplines,
-// and demands bit-identical results against the sequential oracle.
+// must never change what any operation computes. This file replays the
+// same recorded operation shapes as the plain-Submit lanes, once with a
+// nil ctx (global injection) and once through AffineCtx for every
+// worker, and demands bit-identical results against the sequential
+// oracle. Where the verdict manifest claims linearity, it is checked on
+// the recorded DAGs themselves (manifest_test.go), which no scheduling
+// choice can change.
 
 // affinityCase builds inputs deterministically and runs one operation
 // to a sequential result; want is computed from the same keys with the
@@ -97,35 +94,32 @@ func affinityCases() []affinityCase {
 // TestAffinityHintsPreserveResults replays each case through every
 // entry path the serving layer uses — global injection (ctx=nil) and
 // AffineCtx(w) for each worker w — on a locality-configured runtime
-// (affinity groups + steal-half + mailboxes on), under both the shared
-// and linear cell disciplines. Any divergence from the oracle, or any
-// linearity panic out of a LinearCell, fails the manifest's claim that
-// hints are results-neutral.
+// (affinity groups + steal-half + mailboxes on). Any divergence from the
+// oracle fails the claim that hints are results-neutral. The lane keeps
+// the subtest name of the shared-cell discipline (disc=0), the one cell
+// discipline the runtime has.
 func TestAffinityHintsPreserveResults(t *testing.T) {
-	const p = 4
-	for _, disc := range []paralg.CellDiscipline{paralg.SharedCells, paralg.LinearCells} {
-		disc := disc
-		t.Run(fmt.Sprintf("disc=%v", disc), func(t *testing.T) {
-			s := paralg.NewSchedRuntimeOpts(p, sched.Options{Groups: 2, StealHalf: true})
-			defer s.Close()
-			cfg := paralg.RConfig{R: s, SpawnDepth: 6, GrainCutoff: 32, Discipline: disc}
+	t.Run("disc=0", func(t *testing.T) {
+		const p = 4
+		s := paralg.NewSchedRuntimeOpts(p, sched.Options{Groups: 2, StealHalf: true})
+		defer s.Close()
+		cfg := paralg.RConfig{R: s, SpawnDepth: 6, GrainCutoff: 32}
 
-			for _, tc := range affinityCases() {
-				want := tc.want()
-				// ctx = nil: the plain injection path every other
-				// verifycross lane uses; the reference run.
-				if got := tc.run(cfg, nil); !seqtreap.Equal(got, want) {
-					t.Errorf("%s: plain injection diverges from oracle", tc.name)
-				}
-				for w := 0; w < p; w++ {
-					got := tc.run(cfg, s.AffineCtx(w))
-					if !seqtreap.Equal(got, want) {
-						t.Errorf("%s: AffineCtx(%d) diverges from oracle", tc.name, w)
-					}
+		for _, tc := range affinityCases() {
+			want := tc.want()
+			// ctx = nil: the plain injection path every other
+			// verifycross lane uses; the reference run.
+			if got := tc.run(cfg, nil); !seqtreap.Equal(got, want) {
+				t.Errorf("%s: plain injection diverges from oracle", tc.name)
+			}
+			for w := 0; w < p; w++ {
+				got := tc.run(cfg, s.AffineCtx(w))
+				if !seqtreap.Equal(got, want) {
+					t.Errorf("%s: AffineCtx(%d) diverges from oracle", tc.name, w)
 				}
 			}
-		})
-	}
+		}
+	})
 }
 
 // TestAffinityPathActuallyExercised pins the affine lane to a p=1

@@ -226,7 +226,7 @@ func TestSeqSafeZeroCellsBelowCutoff(t *testing.T) {
 	ta := cfg.BuildTreap(nil, ka)
 	tb := cfg.BuildTreap(nil, kb)
 	d := s.RT.Counters().Sub(before)
-	if got := d.CellsShared + d.CellsLinear + d.CellsForwarded; got != 0 {
+	if got := d.CellsShared + d.CellsForwarded; got != 0 {
 		t.Fatalf("below-cutoff builds allocated %d sched cells, want 0", got)
 	}
 
@@ -234,7 +234,7 @@ func TestSeqSafeZeroCellsBelowCutoff(t *testing.T) {
 	out := cfg.Union(nil, ta, tb)
 	paralg.RWait(out)
 	d = s.RT.Counters().Sub(before)
-	if got := d.CellsShared + d.CellsLinear + d.CellsForwarded; got != 1 {
+	if got := d.CellsShared + d.CellsForwarded; got != 1 {
 		t.Errorf("below-cutoff union allocated %d sched cells, want exactly the frontier cell", got)
 	}
 	want := seqtreap.Union(seqtreap.FromKeys(ka), seqtreap.FromKeys(kb))

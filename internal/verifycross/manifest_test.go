@@ -11,12 +11,13 @@ import (
 
 // This file is the dynamic leg of the verdict manifest: the manifest
 // (internal/verdict/verdicts.json) claims a flow class per witness
-// group, and paralg's cell specialization allocates cheaper sched cell
-// variants on the strength of those claims. Here every group's recorded
-// DAG is checked against its claimed class with verdict.CheckTrace, so
-// a manifest that over-promises (or an algorithm change that silently
-// breaks a claim without regenerating the manifest) fails this suite
-// before it can ship a cell variant that would panic at runtime.
+// group, a static claim about how often each cell may be touched before
+// its write. Here every group's recorded DAG is checked against its
+// claimed class with verdict.CheckTrace, so a manifest that
+// over-promises (or an algorithm change that silently breaks a claim
+// without regenerating the manifest) fails this suite. Linearity is
+// checked here, on recorded DAGs, and nowhere at run time: the
+// scheduler has one cell type, which admits every flow class.
 
 // TestManifestGroupsMirrorCases pins the manifest's group structure to
 // the verifycross harness: same group names, same entry sets. The
@@ -50,9 +51,8 @@ func TestManifestGroupsMirrorCases(t *testing.T) {
 // TestManifestClaims replays every witness group's construction on the
 // tracing engine and checks the recorded DAG against the class the
 // golden manifest claims for the group. The group class is the meet
-// over its analyzed members, and ClassOf resolves every specialized
-// (unanalyzed RConfig) entry to exactly this class — so a pass here is
-// a dynamic witness for every claim the specializer actually consumes.
+// over its analyzed members, and the unanalyzed RConfig ports inherit
+// it — so a pass here is a dynamic witness for every member's claim.
 // Entry-level classes above the meet (e.g. a forwarded helper inside a
 // linear group) are not separately checkable against the shared group
 // trace and are covered statically by the generator.
@@ -71,11 +71,6 @@ func TestManifestClaims(t *testing.T) {
 			}
 			if err := verdict.CheckTrace(gv.Class, tr); err != nil {
 				t.Errorf("recorded DAG violates the claimed class %q: %v", gv.Class, err)
-			}
-			for _, spec := range c.entries {
-				if cl := verdict.ClassOf(spec); cl.AtLeast(verdict.Linear) && !gv.Class.AtLeast(verdict.Linear) {
-					t.Errorf("%s resolves to specialized class %q but its group claims only %q", spec, cl, gv.Class)
-				}
 			}
 		})
 	}
