@@ -1,12 +1,14 @@
 // Benchmarks, one per experiment of DESIGN.md. The cost-model benchmarks
 // report the paper's metrics (depth and work in the DAG model) through
 // b.ReportMetric alongside wall-clock time; the paralg benchmarks measure
-// real future-based execution against the sequential baselines.
+// real future-based execution on the work-stealing scheduler against the
+// sequential baselines.
 //
 //	go test -bench=. -benchmem
 package pipefut
 
 import (
+	"runtime"
 	"sort"
 	"testing"
 
@@ -138,51 +140,61 @@ func BenchmarkMachineSchedule(b *testing.B) {
 	}
 }
 
-// --- real-execution benchmarks (E-SPEED / A-GRAIN) ------------------------
+// --- real-execution benchmarks (E-SPEED / A-GRAIN), on the scheduler ----
 
-func parInputs(n int) (t1, t2 paralg.Tree, u1, u2 paralg.Tree, sa, sb *seqtree.Node, ta, tb *seqtreap.Node) {
+func parInputs(n int) (sa, sb *seqtree.Node, ta, tb *seqtreap.Node) {
 	rng := workload.NewRNG(42)
 	ka, kb := workload.DisjointKeySets(rng, n, n)
 	sort.Ints(ka)
 	sort.Ints(kb)
 	sa, sb = seqtree.FromSortedBalanced(ka), seqtree.FromSortedBalanced(kb)
 	ua, ub := workload.OverlappingKeySets(rng, n, n, 0.25)
-	ta, tb = seqtreap.FromKeys(ua), seqtreap.FromKeys(ub)
-	return paralg.FromSeqTree(sa), paralg.FromSeqTree(sb),
-		paralg.FromSeqTreap(ta), paralg.FromSeqTreap(tb), sa, sb, ta, tb
+	return sa, sb, seqtreap.FromKeys(ua), seqtreap.FromKeys(ub)
 }
 
-// BenchmarkParMerge — real future-based merge on goroutines.
+// benchRuntime starts a GOMAXPROCS-worker scheduler that b closes when
+// it finishes.
+func benchRuntime(b *testing.B) *paralg.SchedRuntime {
+	s := paralg.NewSchedRuntime(runtime.GOMAXPROCS(0))
+	b.Cleanup(s.Close)
+	return s
+}
+
+// BenchmarkParMerge — real future-based merge on the scheduler.
 func BenchmarkParMerge(b *testing.B) {
-	t1, t2, _, _, _, _, _, _ := parInputs(1 << 15)
-	cfg := paralg.DefaultConfig
+	sa, sb, _, _ := parInputs(1 << 15)
+	s := benchRuntime(b)
+	cfg := paralg.RConfig{R: s, SpawnDepth: paralg.DefaultConfig.SpawnDepth}
+	t1, t2 := paralg.RFromSeqTree(s, sa), paralg.RFromSeqTree(s, sb)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		paralg.Wait(cfg.Merge(t1, t2))
+		paralg.RWait(cfg.Merge(nil, t1, t2))
 	}
 }
 
 // BenchmarkSeqMerge — the sequential baseline for BenchmarkParMerge.
 func BenchmarkSeqMerge(b *testing.B) {
-	_, _, _, _, sa, sb, _, _ := parInputs(1 << 15)
+	sa, sb, _, _ := parInputs(1 << 15)
 	for i := 0; i < b.N; i++ {
 		seqtree.Merge(sa, sb)
 	}
 }
 
-// BenchmarkParUnion — real future-based treap union on goroutines.
+// BenchmarkParUnion — real future-based treap union on the scheduler.
 func BenchmarkParUnion(b *testing.B) {
-	_, _, u1, u2, _, _, _, _ := parInputs(1 << 15)
-	cfg := paralg.DefaultConfig
+	_, _, ta, tb := parInputs(1 << 15)
+	s := benchRuntime(b)
+	cfg := paralg.RConfig{R: s, SpawnDepth: paralg.DefaultConfig.SpawnDepth}
+	u1, u2 := paralg.RFromSeqTreap(s, ta), paralg.RFromSeqTreap(s, tb)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		paralg.Wait(cfg.Union(u1, u2))
+		paralg.RWait(cfg.Union(nil, u1, u2))
 	}
 }
 
 // BenchmarkSeqUnion — the sequential baseline for BenchmarkParUnion.
 func BenchmarkSeqUnion(b *testing.B) {
-	_, _, _, _, _, _, ta, tb := parInputs(1 << 15)
+	_, _, ta, tb := parInputs(1 << 15)
 	for i := 0; i < b.N; i++ {
 		seqtreap.Union(ta, tb)
 	}
@@ -191,12 +203,14 @@ func BenchmarkSeqUnion(b *testing.B) {
 // BenchmarkParMergeGrain — A-GRAIN: one point of the grain ablation per
 // sub-benchmark.
 func BenchmarkParMergeGrain(b *testing.B) {
-	t1, t2, _, _, _, _, _, _ := parInputs(1 << 15)
+	sa, sb, _, _ := parInputs(1 << 15)
+	s := benchRuntime(b)
+	t1, t2 := paralg.RFromSeqTree(s, sa), paralg.RFromSeqTree(s, sb)
 	for _, d := range []int{0, 8, 16} {
-		cfg := paralg.Config{SpawnDepth: d}
+		cfg := paralg.RConfig{R: s, SpawnDepth: d}
 		b.Run(map[int]string{0: "seq", 8: "d8", 16: "d16"}[d], func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				paralg.Wait(cfg.Merge(t1, t2))
+				paralg.RWait(cfg.Merge(nil, t1, t2))
 			}
 		})
 	}
@@ -226,7 +240,8 @@ func BenchmarkIntersectDepth(b *testing.B) {
 	reportCosts(b, p, np)
 }
 
-// BenchmarkParT26BulkInsert — real 2-6 tree bulk insertion on goroutines.
+// BenchmarkParT26BulkInsert — real 2-6 tree bulk insertion on the
+// scheduler.
 func BenchmarkParT26BulkInsert(b *testing.B) {
 	rng := workload.NewRNG(42)
 	all := workload.DistinctKeys(rng, 1<<15, 1<<20)
@@ -234,11 +249,12 @@ func BenchmarkParT26BulkInsert(b *testing.B) {
 	ins := append([]int(nil), all[1<<14:]...)
 	sort.Ints(ins)
 	levels := workload.WellSeparatedLevels(ins)
-	root := paralg.FromSeqT26(base)
-	cfg := paralg.DefaultConfig
+	s := benchRuntime(b)
+	root := paralg.RFromSeqT26(s, base)
+	cfg := paralg.RConfig{R: s, SpawnDepth: paralg.DefaultConfig.SpawnDepth}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		paralg.WaitT26(cfg.T26BulkInsert(root, levels))
+		paralg.RWaitT26(cfg.T26BulkInsert(nil, root, levels))
 	}
 }
 
@@ -251,18 +267,6 @@ func BenchmarkSeqT26BulkInsert(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		t26.BulkInsert(base, ins)
-	}
-}
-
-// BenchmarkParQuicksort — Figure 2 on real goroutines.
-func BenchmarkParQuicksort(b *testing.B) {
-	rng := workload.NewRNG(42)
-	xs := rng.Perm(1 << 13)
-	cfg := paralg.Config{SpawnDepth: 8}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		l := paralg.FromSlice(xs)
-		_ = paralg.ToSlice(cfg.Quicksort(l, paralg.FromSlice(nil)))
 	}
 }
 

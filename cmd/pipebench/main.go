@@ -1,7 +1,7 @@
 // Command pipebench regenerates the experiments of DESIGN.md: for every
 // theorem, corollary, and figure of "Pipelining with Futures" it measures
-// the relevant computation in the cost model (or on real goroutines for the
-// wall-clock experiments) and prints a paper-style table.
+// the relevant computation in the cost model (or on the work-stealing
+// scheduler for the wall-clock experiments) and prints a paper-style table.
 //
 // Usage:
 //

@@ -89,7 +89,8 @@ func ExampleNewSetAsync() {
 	// Output: true false
 }
 
-// Sort is the Section 5 pipelined tree mergesort, run on goroutines.
+// Sort is the Section 5 pipelined tree mergesort, run on the shared
+// scheduler.
 func ExampleSort() {
 	fmt.Println(pipefut.Sort([]int{5, 3, 9, 1, 3}))
 	// Output: [1 3 5 9]

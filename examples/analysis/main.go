@@ -9,8 +9,8 @@
 //  3. execute the greedy stack schedule of Lemma 4.1 on p virtual
 //     processors and verify steps ≤ ⌈w/p⌉ + d;
 //
-//  4. run the same algorithm for real on goroutines and validate the
-//     result against the sequential oracle.
+//  4. run the same algorithm for real on the work-stealing scheduler and
+//     validate the result against the sequential oracle.
 //
 //     go run ./examples/analysis -n 4096
 package main
@@ -19,6 +19,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 
 	"pipefut/internal/core"
 	"pipefut/internal/costalg"
@@ -74,13 +75,16 @@ func main() {
 			p, res.Steps, res.BrentBound, res.Speedup(), res.Utilization(), ok)
 	}
 
-	fmt.Printf("\n== 4. real execution on goroutines ==\n")
-	got := paralg.ToSeqTreap(paralg.DefaultConfig.Union(paralg.FromSeqTreap(ta), paralg.FromSeqTreap(tb)))
+	fmt.Printf("\n== 4. real execution on the work-stealing scheduler ==\n")
+	rt := paralg.NewSchedRuntime(runtime.GOMAXPROCS(0))
+	defer rt.Close()
+	cfg := paralg.RConfig{R: rt, SpawnDepth: paralg.DefaultConfig.SpawnDepth}
+	got := paralg.RToSeqTreap(cfg.Union(nil, paralg.RFromSeqTreap(rt, ta), paralg.RFromSeqTreap(rt, tb)))
 	want := seqtreap.Union(ta, tb)
 	if !seqtreap.Equal(got, want) {
 		fmt.Fprintln(os.Stderr, "parallel result differs from oracle")
 		os.Exit(1)
 	}
-	fmt.Printf("goroutine union == sequential oracle (structurally identical treaps, %d keys) ✓\n",
+	fmt.Printf("scheduler union == sequential oracle (structurally identical treaps, %d keys) ✓\n",
 		seqtreap.Size(got))
 }

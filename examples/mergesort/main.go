@@ -2,7 +2,7 @@
 // mergesort whose merges are the pipelined tree merge of Section 3.1,
 // giving three levels of pipelining. The paper conjectures its expected
 // depth is close to O(lg n) — perhaps O(lg n · lg lg n) — versus O(lg³ n)
-// without pipelining. This example sorts for real on goroutines, then
+// without pipelining. This example sorts for real on the work-stealing scheduler, then
 // measures the depth in the cost model and prints the conjecture columns.
 //
 //	go run ./examples/mergesort -n 65536
@@ -28,7 +28,7 @@ func main() {
 	rng := workload.NewRNG(7)
 	xs := rng.Perm(*n)
 
-	// Real run on goroutines via the public API.
+	// Real run on the scheduler via the public API.
 	start := time.Now()
 	sorted := pipefut.Sort(xs)
 	elapsed := time.Since(start)

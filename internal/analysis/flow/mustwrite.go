@@ -8,7 +8,7 @@ import (
 )
 
 // MustWrite checks the producer side of every fork whose body receives
-// explicit result cells (Fork2/Fork3/ForkN, Spawn2/Spawn3, Call2/Call3):
+// explicit result cells (Fork2/Fork3/ForkN, Spawn2/Spawn3):
 // each result cell must be written on every path through the body, or a
 // consumer touching it blocks forever. A cell that escapes the body
 // (returned, stored, handed to an untracked callee or a nested

@@ -125,6 +125,25 @@ func TestSizesSweep(t *testing.T) {
 	}
 }
 
+// TestPSweep pins the worker-count sweep the speedup and sched
+// experiments run: it starts at 1, ends at the host's GOMAXPROCS, and
+// ascends strictly — so a sweep loop over it terminates at every host
+// width, odd ones included.
+func TestPSweep(t *testing.T) {
+	for _, maxP := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 12} {
+		ps := pSweep(maxP)
+		if len(ps) == 0 || len(ps) > 4 || ps[0] != 1 || ps[len(ps)-1] != maxP {
+			t.Errorf("pSweep(%d) = %v, want 1 … %d in at most 4 steps", maxP, ps, maxP)
+			continue
+		}
+		for i := 1; i < len(ps); i++ {
+			if ps[i] <= ps[i-1] {
+				t.Errorf("pSweep(%d) = %v, not strictly ascending", maxP, ps)
+			}
+		}
+	}
+}
+
 func TestLgInt(t *testing.T) {
 	if lgInt(1) != 0 || lgInt(2) != 1 || lgInt(1024) != 10 || lgInt(1000) != 10 {
 		t.Fatal("lgInt wrong")

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"pipefut/internal/paralg"
+	"pipefut/internal/sched"
 	"pipefut/internal/seqtreap"
 	"pipefut/internal/seqtree"
 )
@@ -15,7 +16,7 @@ func init() {
 	Register(Experiment{
 		ID:    "sched",
 		Paper: "Section 4 (greedy futures scheduling, Lemma 4.1)",
-		Claim: "an explicit work-stealing runtime with continuation suspension matches the goroutine runtime and its wall-clock follows the steps ≤ w/p + d shape",
+		Claim: "an explicit work-stealing runtime with continuation suspension scales, its wall-clock following the steps ≤ w/p + d shape",
 		Run:   runSched,
 	})
 }
@@ -26,25 +27,16 @@ type schedPoint struct {
 	t time.Duration
 }
 
-// pSweep is the worker-count sweep: 1, 2, 4, and the host's GOMAXPROCS,
-// deduplicated and ascending.
+// pSweep is the worker-count sweep: those of 1, 2 and 4 below maxP, then
+// maxP itself — ascending, without duplicates, never above the host.
 func pSweep(maxP int) []int {
 	var out []int
-	for _, p := range []int{1, 2, 4, maxP} {
-		dup := false
-		for _, q := range out {
-			dup = dup || q == p
-		}
-		if !dup {
+	for _, p := range []int{1, 2, 4} {
+		if p < maxP {
 			out = append(out, p)
 		}
 	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
+	return append(out, maxP)
 }
 
 // fitInvP least-squares fits T(p) = a + b/p over the samples and returns
@@ -87,32 +79,35 @@ func absF(x float64) float64 {
 	return x
 }
 
-// schedWorkload is one algorithm run on either runtime: build converts
-// the inputs for a runtime, run executes and waits for full completion.
+// schedWorkload is one algorithm run: run converts the inputs onto a
+// runtime and returns a closure that executes and waits for full
+// completion.
 type schedWorkload struct {
 	name string
 	seq  time.Duration
-	run  func(r paralg.Runtime, grain int) func()
+	run  func(r *paralg.SchedRuntime, grain int) func()
 }
 
-// sweepRuntimes writes one table row per (runtime, p) for wl and returns
-// the sched samples for the scaling fit.
-func sweepRuntimes(tb *Table, wl schedWorkload, ps []int, grain int) []schedPoint {
+// timeOn times wl on a fresh p-worker scheduler and returns the mean run
+// time with the counter deltas of one more instrumented run.
+func timeOn(wl schedWorkload, p, grain int) (time.Duration, sched.Counters) {
+	s := paralg.NewSchedRuntime(p)
+	defer s.Close()
+	f := wl.run(s, grain)
+	t := timeIt(f)
+	prev := s.RT.Counters()
+	f()
+	return t, s.RT.Counters().Sub(prev)
+}
+
+// sweepP writes one table row per worker count p for wl and returns the
+// samples for the scaling fit.
+func sweepP(tb *Table, wl schedWorkload, ps []int, grain int) []schedPoint {
 	var pts []schedPoint
 	for _, p := range ps {
 		runtime.GOMAXPROCS(p)
-		tg := timeIt(wl.run(paralg.GoRuntime{}, grain))
-		tb.Row("go", I(int64(p)), tg.String(), F(float64(wl.seq)/float64(tg)),
-			"-", "-", "-", "-", "-")
-
-		s := paralg.NewSchedRuntime(p)
-		f := wl.run(s, grain)
-		ts := timeIt(f)
-		prev := s.RT.Counters()
-		f() // one more instrumented pass for per-run counter deltas
-		d := s.RT.Counters().Sub(prev)
-		s.Close()
-		tb.Row("sched", I(int64(p)), ts.String(), F(float64(wl.seq)/float64(ts)),
+		ts, d := timeOn(wl, p, grain)
+		tb.Row(I(int64(p)), ts.String(), F(float64(wl.seq)/float64(ts)),
 			I(d.Spawns), I(d.Steals), I(d.Suspensions), I(d.Reactivations), I(d.MaxDeque))
 		pts = append(pts, schedPoint{p: p, t: ts})
 	}
@@ -133,7 +128,7 @@ func runSched(cfg Config, w io.Writer) error {
 	merge := schedWorkload{
 		name: "merge",
 		seq:  seqMerge,
-		run: func(r paralg.Runtime, g int) func() {
+		run: func(r *paralg.SchedRuntime, g int) func() {
 			a1, a2 := paralg.RFromSeqTree(r, t1), paralg.RFromSeqTree(r, t2)
 			c := paralg.RConfig{R: r, SpawnDepth: g}
 			return func() { paralg.RWait(c.Merge(nil, a1, a2)) }
@@ -142,7 +137,7 @@ func runSched(cfg Config, w io.Writer) error {
 	union := schedWorkload{
 		name: "union",
 		seq:  seqUnion,
-		run: func(r paralg.Runtime, g int) func() {
+		run: func(r *paralg.SchedRuntime, g int) func() {
 			b1, b2 := paralg.RFromSeqTreap(r, ta), paralg.RFromSeqTreap(r, tbp)
 			c := paralg.RConfig{R: r, SpawnDepth: g}
 			return func() { paralg.RWait(c.Union(nil, b1, b2)) }
@@ -151,38 +146,31 @@ func runSched(cfg Config, w io.Writer) error {
 
 	for _, wl := range []schedWorkload{merge, union} {
 		tb := NewTable(
-			fmt.Sprintf("Scheduler comparison: pipelined %s, n = m = 2^%d, grain depth %d (sequential %v)",
+			fmt.Sprintf("Scheduler scaling: pipelined %s, n = m = 2^%d, grain depth %d (sequential %v)",
 				wl.name, lgInt(n), grain, wl.seq),
-			"runtime", "p", "time", "speedup", "spawns", "steals", "susp", "react", "maxdeq")
-		pts := sweepRuntimes(tb, wl, ps, grain)
+			"p", "time", "speedup", "spawns", "steals", "susp", "react", "maxdeq")
+		pts := sweepP(tb, wl, ps, grain)
 		if a, b, worst, ok := fitInvP(pts); ok {
 			tb.Note("sched fit T(p) = d + w/p: d=%v, w=%v, worst residual %.0f%% — the greedy-schedule shape steps ≤ w/p + d",
 				time.Duration(a), time.Duration(b), 100*worst)
 		}
-		tb.Note("go rows: Go's own scheduler at GOMAXPROCS=p (one goroutine per suspension); sched rows: p explicit workers, suspensions park continuations")
+		tb.Note("p explicit workers at GOMAXPROCS = p; suspensions park continuations, not goroutines")
 		if err := tb.Fprint(w); err != nil {
 			return err
 		}
 	}
 
-	// Fork-grain ablation on both runtimes at full width.
+	// Fork-grain ablation at full width.
 	runtime.GOMAXPROCS(maxP)
 	tg := NewTable(
 		fmt.Sprintf("Fork-grain ablation: pipelined union, n = m = 2^%d, p = %d (sequential %v)",
 			lgInt(n), maxP, seqUnion),
-		"grain depth", "go time", "sched time", "spawns", "susp", "maxdeq")
+		"grain depth", "time", "spawns", "susp", "maxdeq")
 	for _, g := range []int{0, 4, 8, 14, 64} {
-		tgo := timeIt(union.run(paralg.GoRuntime{}, g))
-		s := paralg.NewSchedRuntime(maxP)
-		f := union.run(s, g)
-		ts := timeIt(f)
-		prev := s.RT.Counters()
-		f()
-		d := s.RT.Counters().Sub(prev)
-		s.Close()
-		tg.Row(I(int64(g)), tgo.String(), ts.String(), I(d.Spawns), I(d.Suspensions), I(d.MaxDeque))
+		ts, d := timeOn(union, maxP, g)
+		tg.Row(I(int64(g)), ts.String(), I(d.Spawns), I(d.Suspensions), I(d.MaxDeque))
 	}
-	tg.Note("grain depth 0 runs the portable code sequentially on both runtimes; 64 forks at every recursion step")
+	tg.Note("grain depth 0 runs the cell-based code sequentially; 64 forks at every recursion step")
 	tg.Note("host has %d CPUs", maxP)
 	return tg.Fprint(w)
 }

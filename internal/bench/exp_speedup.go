@@ -23,7 +23,7 @@ func init() {
 	Register(Experiment{
 		ID:    "grain",
 		Paper: "ablation",
-		Claim: "grain-size cutoff: too little spawning loses parallelism, too much drowns in goroutine overhead",
+		Claim: "grain-size cutoff: too little spawning loses parallelism, too much drowns in task overhead",
 		Run:   runGrain,
 	})
 }
@@ -61,31 +61,23 @@ func speedupInputs(seed uint64, n int) (t1, t2 *seqtree.Node, ta, tb *seqtreap.N
 func runSpeedup(cfg Config, w io.Writer) error {
 	n := 1 << min(cfg.MaxLgN, 19)
 	t1, t2, ta, tbp := speedupInputs(cfg.Seed, n)
-	a1, a2 := paralg.FromSeqTree(t1), paralg.FromSeqTree(t2)
-	b1, b2 := paralg.FromSeqTreap(ta), paralg.FromSeqTreap(tbp)
-
 	seqMerge := timeIt(func() { seqtree.Merge(t1, t2) })
 	seqUnion := timeIt(func() { seqtreap.Union(ta, tbp) })
 
 	maxP := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(maxP)
 
-	tb := NewTable(fmt.Sprintf("Wall-clock speedup, n = m = 2^%d (sequential: merge %v, union %v)", lgInt(n), seqMerge, seqUnion),
-		"GOMAXPROCS", "merge time", "merge speedup", "union time", "union speedup")
-	cfgPar := paralg.DefaultConfig
-	for p := 1; p <= maxP; p *= 2 {
+	tb := NewTable(fmt.Sprintf("Wall-clock speedup on the scheduler, n = m = 2^%d (sequential: merge %v, union %v)", lgInt(n), seqMerge, seqUnion),
+		"p", "merge time", "merge speedup", "union time", "union speedup")
+	for _, p := range pSweep(maxP) {
 		runtime.GOMAXPROCS(p)
-		tm := timeIt(func() { paralg.Wait(cfgPar.Merge(a1, a2)) })
-		tu := timeIt(func() { paralg.Wait(cfgPar.Union(b1, b2)) })
+		tm, tu := timeMergeUnion(p, paralg.DefaultConfig.SpawnDepth, t1, t2, ta, tbp)
 		tb.Row(I(int64(p)),
 			tm.String(), F(float64(seqMerge)/float64(tm)),
 			tu.String(), F(float64(seqUnion)/float64(tu)))
-		if p != maxP && p*2 > maxP {
-			p = maxP / 2 // make sure maxP itself runs
-		}
 	}
 	runtime.GOMAXPROCS(maxP)
-	tb.Note("speedup is measured against the sequential (future-free) implementation, not the p=1 parallel run")
+	tb.Note("p scheduler workers at GOMAXPROCS = p; speedup is measured against the sequential (future-free) implementation, not the p=1 parallel run")
 	tb.Note("host has %d CPUs; absolute times are machine-specific, the shape (rising speedup) is the result", maxP)
 	return tb.Fprint(w)
 }
@@ -93,21 +85,32 @@ func runSpeedup(cfg Config, w io.Writer) error {
 func runGrain(cfg Config, w io.Writer) error {
 	n := 1 << min(cfg.MaxLgN, 19)
 	t1, t2, ta, tbp := speedupInputs(cfg.Seed+1, n)
-	a1, a2 := paralg.FromSeqTree(t1), paralg.FromSeqTree(t2)
-	b1, b2 := paralg.FromSeqTreap(ta), paralg.FromSeqTreap(tbp)
 	seqMerge := timeIt(func() { seqtree.Merge(t1, t2) })
 	seqUnion := timeIt(func() { seqtreap.Union(ta, tbp) })
 
-	tb := NewTable(fmt.Sprintf("Grain-size ablation, n = m = 2^%d, GOMAXPROCS = %d", lgInt(n), runtime.GOMAXPROCS(0)),
+	p := runtime.GOMAXPROCS(0)
+	tb := NewTable(fmt.Sprintf("Grain-size ablation on the scheduler, n = m = 2^%d, p = %d", lgInt(n), p),
 		"spawn depth", "merge time", "merge speedup", "union time", "union speedup")
 	for _, d := range []int{0, 2, 4, 8, 12, 16, 20} {
-		c := paralg.Config{SpawnDepth: d}
-		tm := timeIt(func() { paralg.Wait(c.Merge(a1, a2)) })
-		tu := timeIt(func() { paralg.Wait(c.Union(b1, b2)) })
+		tm, tu := timeMergeUnion(p, d, t1, t2, ta, tbp)
 		tb.Row(I(int64(d)),
 			tm.String(), F(float64(seqMerge)/float64(tm)),
 			tu.String(), F(float64(seqUnion)/float64(tu)))
 	}
 	tb.Note("spawn depth 0 = sequential execution of the cell-based code (its overhead vs the plain sequential code is the cost of futures)")
 	return tb.Fprint(w)
+}
+
+// timeMergeUnion times the pipelined merge of t1, t2 and union of ta, tb,
+// each to full materialization, on a fresh p-worker scheduler at the
+// given spawn depth.
+func timeMergeUnion(p, depth int, t1, t2 *seqtree.Node, ta, tb *seqtreap.Node) (merge, union time.Duration) {
+	s := paralg.NewSchedRuntime(p)
+	defer s.Close()
+	c := paralg.RConfig{R: s, SpawnDepth: depth}
+	a1, a2 := paralg.RFromSeqTree(s, t1), paralg.RFromSeqTree(s, t2)
+	b1, b2 := paralg.RFromSeqTreap(s, ta), paralg.RFromSeqTreap(s, tb)
+	merge = timeIt(func() { paralg.RWait(c.Merge(nil, a1, a2)) })
+	union = timeIt(func() { paralg.RWait(c.Union(nil, b1, b2)) })
+	return merge, union
 }

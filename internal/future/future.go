@@ -6,23 +6,12 @@
 // times; writes publish via a closed channel, so reads after the write are a
 // single atomic-free channel receive on the fast path.
 //
-// Go's scheduler plays the role of the paper's provably efficient runtime:
-// it multiplexes the dynamically unfolding thread DAG onto GOMAXPROCS
-// processors, suspending goroutines blocked on unwritten cells and
-// reactivating them on the write — exactly the suspend/reactivate protocol
-// of Section 4.
-//
-// Cell representation: BenchmarkCellVariants compares this channel-based
-// cell against MutexCell on the three shapes that matter. Last measured
-// (go1.24, linux/amd64, 1 CPU): the channel cell wins both suspension
-// shapes — a blocking read woken by the write (~645ns vs ~690ns) and 16
-// concurrent readers racing one write (~5.2µs vs ~5.3µs) — while the
-// mutex cell is ~4ns faster on a read that finds the value already
-// written (~18ns vs ~22ns). The channel cell stays the package default:
-// suspension cost is what the paper's pipelining stresses, the fast-path
-// gap is noise next to node allocation, and closed channels compose with
-// select. An explicitly scheduled alternative that suspends continuations
-// instead of goroutines lives in package sched.
+// This package is the public Spawn/Cell API of package pipefut (and the
+// cell vocabulary the pipelint analyzers check). It suspends a whole
+// goroutine per blocked read, and Go's scheduler reactivates it on the
+// write. The paper's algorithms do not run on it: they run on the
+// work-stealing scheduler of package sched, where a blocked read parks
+// only a continuation (see internal/paralg).
 package future
 
 import "sync/atomic"
@@ -117,21 +106,5 @@ func Spawn2[A, B any](f func(a *Cell[A], b *Cell[B])) (*Cell[A], *Cell[B]) {
 func Spawn3[A, B, C any](f func(a *Cell[A], b *Cell[B], c *Cell[C])) (*Cell[A], *Cell[B], *Cell[C]) {
 	a, b, c := New[A](), New[B](), New[C]()
 	go f(a, b, c)
-	return a, b, c
-}
-
-// Call2 runs f synchronously with two result cells — the sequential
-// counterpart of Spawn2, used below grain-size cutoffs so the code shape
-// stays identical while goroutine overhead disappears.
-func Call2[A, B any](f func(a *Cell[A], b *Cell[B])) (*Cell[A], *Cell[B]) {
-	a, b := New[A](), New[B]()
-	f(a, b)
-	return a, b
-}
-
-// Call3 runs f synchronously with three result cells.
-func Call3[A, B, C any](f func(a *Cell[A], b *Cell[B], c *Cell[C])) (*Cell[A], *Cell[B], *Cell[C]) {
-	a, b, c := New[A](), New[B](), New[C]()
-	f(a, b, c)
 	return a, b, c
 }

@@ -70,32 +70,3 @@ func TestStressSpawn2Staggered(t *testing.T) {
 	}
 	wg.Wait()
 }
-
-// TestStressMutexCell exercises the mutex-based ablation implementation
-// with many concurrent readers per cell.
-func TestStressMutexCell(t *testing.T) {
-	const (
-		cells   = 32
-		readers = 8
-	)
-	var wg sync.WaitGroup
-	for k := 0; k < cells; k++ {
-		c := NewMutex[int]()
-		for r := 0; r < readers; r++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				_ = c.Ready()
-				if v := c.Read(); v != 42 {
-					t.Errorf("MutexCell.Read = %d, want 42", v)
-				}
-			}()
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			c.Write(42)
-		}()
-	}
-	wg.Wait()
-}

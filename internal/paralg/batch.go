@@ -1,7 +1,7 @@
 package paralg
 
-// Batch entry points on RConfig — the runtime-portable twins of build.go
-// — plus the CPS query walks the serving layer (internal/serve) runs as
+// Batch entry points on RConfig — asynchronous treap construction and
+// bulk insert/delete — plus the CPS query walks the serving layer (internal/serve) runs as
 // scheduler tasks. Everything here follows the port.go discipline: no
 // call ever blocks a goroutine; waiting is always a Touch that suspends
 // only a continuation.

@@ -11,7 +11,7 @@ import (
 )
 
 func TestPortDiffMatchesOracleProperty(t *testing.T) {
-	withPortRuntimes(t, func(t *testing.T, r Runtime) {
+	withPortRuntimes(t, func(t *testing.T, r *SchedRuntime, enter func(func(Ctx))) {
 		f := func(seed uint16, n8, m8, cfgPick uint8) bool {
 			n, m := int(n8%100)+1, int(m8%100)+1
 			rng := workload.NewRNG(uint64(seed))
@@ -20,7 +20,8 @@ func TestPortDiffMatchesOracleProperty(t *testing.T) {
 			want := seqtreap.Diff(ta, tb)
 
 			cfg := RConfig{R: r, SpawnDepth: portSpawnDepths[int(cfgPick)%len(portSpawnDepths)]}
-			got := cfg.Diff(nil, RFromSeqTreap(r, ta), RFromSeqTreap(r, tb))
+			var got NodeCell
+			enter(func(ctx Ctx) { got = cfg.Diff(ctx, RFromSeqTreap(r, ta), RFromSeqTreap(r, tb)) })
 			return seqtreap.Equal(RToSeqTreap(got), want)
 		}
 		if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
@@ -30,7 +31,7 @@ func TestPortDiffMatchesOracleProperty(t *testing.T) {
 }
 
 func TestPortIntersectMatchesOracleProperty(t *testing.T) {
-	withPortRuntimes(t, func(t *testing.T, r Runtime) {
+	withPortRuntimes(t, func(t *testing.T, r *SchedRuntime, enter func(func(Ctx))) {
 		f := func(seed uint16, n8, m8, cfgPick uint8) bool {
 			n, m := int(n8%100)+1, int(m8%100)+1
 			rng := workload.NewRNG(uint64(seed))
@@ -39,7 +40,8 @@ func TestPortIntersectMatchesOracleProperty(t *testing.T) {
 			want := seqtreap.Intersect(ta, tb)
 
 			cfg := RConfig{R: r, SpawnDepth: portSpawnDepths[int(cfgPick)%len(portSpawnDepths)]}
-			got := cfg.Intersect(nil, RFromSeqTreap(r, ta), RFromSeqTreap(r, tb))
+			var got NodeCell
+			enter(func(ctx Ctx) { got = cfg.Intersect(ctx, RFromSeqTreap(r, ta), RFromSeqTreap(r, tb)) })
 			return seqtreap.Equal(RToSeqTreap(got), want)
 		}
 		if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
@@ -49,7 +51,7 @@ func TestPortIntersectMatchesOracleProperty(t *testing.T) {
 }
 
 func TestPortJoinMatchesOracleProperty(t *testing.T) {
-	withPortRuntimes(t, func(t *testing.T, r Runtime) {
+	withPortRuntimes(t, func(t *testing.T, r *SchedRuntime, enter func(func(Ctx))) {
 		f := func(seed uint16, n8, m8, cfgPick uint8) bool {
 			n, m := int(n8%100)+1, int(m8%100)+1
 			rng := workload.NewRNG(uint64(seed))
@@ -65,7 +67,8 @@ func TestPortJoinMatchesOracleProperty(t *testing.T) {
 			want := seqtreap.Join(ta, tb)
 
 			cfg := RConfig{R: r, SpawnDepth: portSpawnDepths[int(cfgPick)%len(portSpawnDepths)]}
-			got := cfg.Join(nil, RFromSeqTreap(r, ta), RFromSeqTreap(r, tb))
+			var got NodeCell
+			enter(func(ctx Ctx) { got = cfg.Join(ctx, RFromSeqTreap(r, ta), RFromSeqTreap(r, tb)) })
 			return seqtreap.Equal(RToSeqTreap(got), want)
 		}
 		if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
@@ -75,7 +78,7 @@ func TestPortJoinMatchesOracleProperty(t *testing.T) {
 }
 
 func TestPortBuildTreapMatchesOracleProperty(t *testing.T) {
-	withPortRuntimes(t, func(t *testing.T, r Runtime) {
+	withPortRuntimes(t, func(t *testing.T, r *SchedRuntime, enter func(func(Ctx))) {
 		f := func(seed uint16, n16 uint16, cfgPick uint8) bool {
 			n := int(n16%600) + 1
 			rng := workload.NewRNG(uint64(seed))
@@ -83,7 +86,8 @@ func TestPortBuildTreapMatchesOracleProperty(t *testing.T) {
 			want := seqtreap.FromKeys(keys)
 
 			cfg := RConfig{R: r, SpawnDepth: portSpawnDepths[int(cfgPick)%len(portSpawnDepths)]}
-			got := cfg.BuildTreap(nil, keys)
+			var got NodeCell
+			enter(func(ctx Ctx) { got = cfg.BuildTreap(ctx, keys) })
 			return seqtreap.Equal(RToSeqTreap(got), want)
 		}
 		if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
@@ -93,7 +97,7 @@ func TestPortBuildTreapMatchesOracleProperty(t *testing.T) {
 }
 
 func TestPortInsertDeleteKeysMatchesOracleProperty(t *testing.T) {
-	withPortRuntimes(t, func(t *testing.T, r Runtime) {
+	withPortRuntimes(t, func(t *testing.T, r *SchedRuntime, enter func(func(Ctx))) {
 		f := func(seed uint16, n8, m8, cfgPick uint8) bool {
 			n, m := int(n8%100)+1, int(m8%100)+1
 			rng := workload.NewRNG(uint64(seed))
@@ -103,8 +107,11 @@ func TestPortInsertDeleteKeysMatchesOracleProperty(t *testing.T) {
 			wantDel := seqtreap.Diff(ta, seqtreap.FromKeys(kb))
 
 			cfg := RConfig{R: r, SpawnDepth: portSpawnDepths[int(cfgPick)%len(portSpawnDepths)]}
-			gotIns := cfg.InsertKeys(nil, RFromSeqTreap(r, ta), kb)
-			gotDel := cfg.DeleteKeys(nil, RFromSeqTreap(r, ta), kb)
+			var gotIns, gotDel NodeCell
+			enter(func(ctx Ctx) {
+				gotIns = cfg.InsertKeys(ctx, RFromSeqTreap(r, ta), kb)
+				gotDel = cfg.DeleteKeys(ctx, RFromSeqTreap(r, ta), kb)
+			})
 			return seqtreap.Equal(RToSeqTreap(gotIns), wantIns) &&
 				seqtreap.Equal(RToSeqTreap(gotDel), wantDel)
 		}
@@ -117,7 +124,7 @@ func TestPortInsertDeleteKeysMatchesOracleProperty(t *testing.T) {
 // TestRContainsRLen exercises the CPS queries against the map oracle,
 // including queries racing a still-materializing pipelined union.
 func TestRContainsRLen(t *testing.T) {
-	withPortRuntimes(t, func(t *testing.T, r Runtime) {
+	withPortRuntimes(t, func(t *testing.T, r *SchedRuntime, enter func(func(Ctx))) {
 		rng := workload.NewRNG(7)
 		ka, kb := workload.OverlappingKeySets(rng, 300, 300, 0.3)
 		in := map[int]bool{}
@@ -129,10 +136,13 @@ func TestRContainsRLen(t *testing.T) {
 		}
 
 		cfg := RConfig{R: r, SpawnDepth: 5}
-		u := cfg.Union(nil, RFromSeqTreap(r, seqtreap.FromKeys(ka)), RFromSeqTreap(r, seqtreap.FromKeys(kb)))
+		var u NodeCell
+		enter(func(ctx Ctx) {
+			u = cfg.Union(ctx, RFromSeqTreap(r, seqtreap.FromKeys(ka)), RFromSeqTreap(r, seqtreap.FromKeys(kb)))
+		})
 
-		// Fire all queries before waiting: on the sched runtime many hit
-		// unwritten cells and suspend as continuations.
+		// Fire all queries before waiting: many hit unwritten cells and
+		// suspend as continuations.
 		probes := append(append([]int(nil), ka[:50]...), -1, -2, 1<<40)
 		results := make([]atomic.Int32, len(probes))
 		var pendingQ atomic.Int64
@@ -144,20 +154,21 @@ func TestRContainsRLen(t *testing.T) {
 			}
 		}
 		var gotLen atomic.Int64
-		for i, key := range probes {
-			i, key := i, key
-			RContains(nil, u, key, func(_ Ctx, ok bool) {
-				if ok {
-					results[i].Store(1)
-				} else {
-					results[i].Store(-1)
-				}
+		enter(func(ctx Ctx) {
+			for i, key := range probes {
+				RContains(ctx, u, key, func(_ Ctx, ok bool) {
+					if ok {
+						results[i].Store(1)
+					} else {
+						results[i].Store(-1)
+					}
+					queryDone()
+				})
+			}
+			RLen(ctx, u, func(_ Ctx, n int) {
+				gotLen.Store(int64(n))
 				queryDone()
 			})
-		}
-		RLen(nil, u, func(_ Ctx, n int) {
-			gotLen.Store(int64(n))
-			queryDone()
 		})
 		RWait(u)
 		<-done

@@ -8,7 +8,7 @@ import (
 	"pipefut/internal/workload"
 )
 
-// TestGrainCutoffMatchesOracle sweeps GrainCutoff over both runtimes
+// TestGrainCutoffMatchesOracle sweeps GrainCutoff over both entry modes
 // and checks every coarsened entry point against the sequential
 // seqtreap oracle. Cutoff 1 keeps the fast paths almost always cold
 // (only empty and singleton chunks qualify), so the mixed pipelined ×
@@ -18,68 +18,68 @@ func TestGrainCutoffMatchesOracle(t *testing.T) {
 	rng := workload.NewRNG(23)
 	all := workload.DistinctKeys(rng, 900, 1<<14)
 	ka, kb := all[:500], all[300:] // 200 shared keys
+	pivot := all[450]
 
 	wantA := seqtreap.FromKeys(ka)
 	wantB := seqtreap.FromKeys(kb)
+	// Split pieces of a treap are treaps over the same priorities, so the
+	// piece shapes are FromKeys shapes.
+	var lo, hi []int
+	for _, k := range ka {
+		if k < pivot {
+			lo = append(lo, k)
+		} else {
+			hi = append(hi, k)
+		}
+	}
+	want := map[string]*seqtreap.Node{
+		"Union":      seqtreap.Union(wantA, wantB),
+		"Diff":       seqtreap.Diff(wantA, wantB),
+		"Intersect":  seqtreap.Intersect(wantA, wantB),
+		"InsertKeys": seqtreap.Union(wantA, wantB),
+		"DeleteKeys": seqtreap.Diff(wantA, seqtreap.FromKeys(kb[:100])),
+		"Split(<)":   seqtreap.FromKeys(lo),
+		"Split(>=)":  seqtreap.FromKeys(hi),
+	}
 
 	for _, cutoff := range []int{1, 8, 64} {
-		for _, rt := range []string{"go", "sched"} {
-			t.Run(rt, func(t *testing.T) {
-				var r Runtime = GoRuntime{}
-				if rt == "sched" {
-					s := NewSchedRuntime(4)
-					defer s.Close()
-					r = s
-				}
-				cfg := RConfig{R: r, SpawnDepth: 4, GrainCutoff: cutoff}
+		withPortRuntimes(t, func(t *testing.T, r *SchedRuntime, enter func(func(Ctx))) {
+			cfg := RConfig{R: r, SpawnDepth: 4, GrainCutoff: cutoff}
 
-				ta := cfg.BuildTreap(nil, ka)
-				tb := cfg.BuildTreap(nil, kb)
-				if !seqtreap.Equal(RToSeqTreap(ta), wantA) {
-					t.Fatalf("cutoff=%d: BuildTreap disagrees with the oracle", cutoff)
-				}
+			var ta, tb NodeCell
+			enter(func(ctx Ctx) { ta, tb = cfg.BuildTreap(ctx, ka), cfg.BuildTreap(ctx, kb) })
+			if !seqtreap.Equal(RToSeqTreap(ta), wantA) {
+				t.Fatalf("cutoff=%d: BuildTreap disagrees with the oracle", cutoff)
+			}
 
-				check := func(name string, got NodeCell, want *seqtreap.Node) {
-					t.Helper()
-					if !seqtreap.Equal(RToSeqTreap(got), want) {
-						t.Errorf("cutoff=%d: %s disagrees with the sequential oracle", cutoff, name)
-					}
-				}
-				check("Union", cfg.Union(nil, ta, tb), seqtreap.Union(wantA, wantB))
-				check("Diff", cfg.Diff(nil, ta, tb), seqtreap.Diff(wantA, wantB))
-				check("Intersect", cfg.Intersect(nil, ta, tb), seqtreap.Intersect(wantA, wantB))
-				check("InsertKeys", cfg.InsertKeys(nil, ta, kb), seqtreap.Union(wantA, wantB))
-				check("DeleteKeys", cfg.DeleteKeys(nil, ta, kb[:100]),
-					seqtreap.Diff(wantA, seqtreap.FromKeys(kb[:100])))
-
-				// Split pieces of a treap are treaps over the same
-				// priorities, so the piece shapes are FromKeys shapes.
-				pivot := all[450]
-				var lo, hi []int
-				for _, k := range ka {
-					if k < pivot {
-						lo = append(lo, k)
-					} else {
-						hi = append(hi, k)
-					}
-				}
-				lt, ge := cfg.Split(nil, ta, pivot)
-				check("Split(<)", lt, seqtreap.FromKeys(lo))
-				check("Split(>=)", ge, seqtreap.FromKeys(hi))
-
-				pieces := cfg.SplitRanges(nil, ta, []int{all[200], all[450], all[700]})
-				if len(pieces) != 4 {
-					t.Fatalf("cutoff=%d: SplitRanges returned %d pieces, want 4", cutoff, len(pieces))
-				}
-				total := 0
-				for _, p := range pieces {
-					total += seqtreap.Size(RToSeqTreap(p))
-				}
-				if total != len(ka) {
-					t.Errorf("cutoff=%d: SplitRanges pieces hold %d keys, want %d", cutoff, total, len(ka))
-				}
+			got := map[string]NodeCell{}
+			var pieces []NodeCell
+			enter(func(ctx Ctx) {
+				got["Union"] = cfg.Union(ctx, ta, tb)
+				got["Diff"] = cfg.Diff(ctx, ta, tb)
+				got["Intersect"] = cfg.Intersect(ctx, ta, tb)
+				got["InsertKeys"] = cfg.InsertKeys(ctx, ta, kb)
+				got["DeleteKeys"] = cfg.DeleteKeys(ctx, ta, kb[:100])
+				got["Split(<)"], got["Split(>=)"] = cfg.Split(ctx, ta, pivot)
+				pieces = cfg.SplitRanges(ctx, ta, []int{all[200], all[450], all[700]})
 			})
-		}
+			for name, w := range want {
+				if !seqtreap.Equal(RToSeqTreap(got[name]), w) {
+					t.Errorf("cutoff=%d: %s disagrees with the sequential oracle", cutoff, name)
+				}
+			}
+
+			if len(pieces) != 4 {
+				t.Fatalf("cutoff=%d: SplitRanges returned %d pieces, want 4", cutoff, len(pieces))
+			}
+			total := 0
+			for _, p := range pieces {
+				total += seqtreap.Size(RToSeqTreap(p))
+			}
+			if total != len(ka) {
+				t.Errorf("cutoff=%d: SplitRanges pieces hold %d keys, want %d", cutoff, total, len(ka))
+			}
+		})
 	}
 }
 
@@ -92,7 +92,8 @@ func TestGrainCutoffMergeAndJoin(t *testing.T) {
 	rng := workload.NewRNG(29)
 	ka, kb := workload.DisjointKeySets(rng, 300, 250)
 
-	base := RConfig{R: GoRuntime{}, SpawnDepth: 4}
+	base := RConfig{R: NewSchedRuntime(2), SpawnDepth: 4}
+	defer base.R.Close()
 	wantMerge := RToSeqTreap(base.Merge(nil,
 		RFromSeqTreap(base.R, seqtreap.FromKeys(ka)), RFromSeqTreap(base.R, seqtreap.FromKeys(kb))))
 	wantJoin := seqtreap.Join(seqtreap.FromKeys(ka), seqtreap.FromKeys(kb))
@@ -150,7 +151,7 @@ func TestGrainCutoffZeroCellsBelowCutoff(t *testing.T) {
 // only for entry points carrying the seqsafe proof; everything else —
 // including entries the manifest has never heard of — keeps cutoff 0.
 func TestGrainCutoffFailClosed(t *testing.T) {
-	base := RConfig{R: GoRuntime{}, GrainCutoff: 32}
+	base := RConfig{GrainCutoff: 32}
 	if got := base.classed("paralg.RConfig.Union").cutoff; got != 32 {
 		t.Errorf("Union (seqsafe-proven) resolved cutoff %d, want 32", got)
 	}

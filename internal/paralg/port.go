@@ -1,20 +1,15 @@
 package paralg
 
-// Runtime-portable ports of the pipelined algorithms, written in
-// continuation-passing style against the Runtime interface: every place
-// the classic Config methods block a goroutine on Cell.Read, these ports
-// Touch the cell and continue in the callback. On GoRuntime the two
-// styles cost the same; on SchedRuntime the CPS form is what lets a
-// million suspended threads share p goroutines.
+// The pipelined algorithms of Section 3, in continuation-passing style:
+// every place straight-line future code would block on a read, these
+// Touch the cell and continue in the callback, which is what lets a
+// million suspended threads share p scheduler workers.
 //
-// The algorithms are textually parallel to their Config counterparts in
-// paralg.go and t26.go (same recursion structure, same depth accounting,
-// same helper functions for the 2-6 key arithmetic), so the two can be
-// diffed side by side. One deliberate difference: where the classic code
-// builds a node after its children's cells exist, the CPS form writes
-// each output node as soon as its key is decided and then fills the
-// child cells — the same data, available strictly earlier, which is the
-// pipelining the paper is about.
+// The recursion structure and depth accounting follow the paper's code
+// (and costalg's traceable twins) line for line. One deliberate
+// refinement: each output node is written as soon as its key is decided,
+// and its child cells are filled afterwards — the same data, available
+// strictly earlier, which is the pipelining the paper is about.
 
 import (
 	"fmt"
@@ -85,6 +80,34 @@ func (c RConfig) rsplit(ctx Ctx, d int, s int, tree NodeCell) (lt, ge NodeCell) 
 		})
 	})
 	return lo, ro
+}
+
+// Mergesort sorts xs into a binary search tree (duplicates kept) by
+// halving, sorting both halves and combining them with the pipelined
+// Merge — the Section 5 conjecture, executed for real: each merge starts
+// on its halves' roots while their lower levels are still being merged.
+func (c RConfig) Mergesort(ctx Ctx, xs []int) NodeCell {
+	c = c.classed("paralg.RConfig.Mergesort")
+	out := c.R.NewNode()
+	c.msortInto(ctx, 0, xs, out)
+	return out
+}
+
+func (c RConfig) msortInto(ctx Ctx, d int, xs []int, out NodeCell) {
+	switch len(xs) {
+	case 0:
+		out.Write(ctx, nil)
+		return
+	case 1:
+		out.Write(ctx, &RNode{Key: xs[0], Left: c.R.DoneNode(nil), Right: c.R.DoneNode(nil)})
+		return
+	}
+	c.fork(ctx, d, func(ctx Ctx) {
+		a, b := c.R.NewNode(), c.R.NewNode()
+		c.msortInto(ctx, d+1, xs[:len(xs)/2], a)
+		c.msortInto(ctx, d+1, xs[len(xs)/2:], b)
+		c.mergeInto(ctx, d+1, a, b, out)
+	})
 }
 
 // Union returns the union of two treaps, discarding duplicates (Section
@@ -174,9 +197,9 @@ func (c RConfig) rsplitMCell(ctx Ctx, d int, s int, tree NodeCell) (lt, gt, dup 
 }
 
 // Diff returns treap a with every key of treap b removed (Section 3.3)
-// on runtime c.R. Like the classic diff it cannot write an output node
-// before knowing whether the node's key survives, so the write waits on
-// the duplicate cell — but both child differences recurse eagerly.
+// on runtime c.R. It cannot write an output node before knowing whether
+// the node's key survives, so the write waits on the duplicate cell —
+// but both child differences recurse eagerly.
 func (c RConfig) Diff(ctx Ctx, a, b NodeCell) NodeCell {
 	c = c.classed("paralg.RConfig.Diff")
 	out := c.R.NewNode()
@@ -402,9 +425,9 @@ func (c RConfig) joinInto(ctx Ctx, d int, a, b, out NodeCell) {
 	})
 }
 
-// joinNodesInto is joinNodes in CPS — with the pipelining twist the
-// classic form lacks: the winning root is written before the recursive
-// join below it resolves, so consumers see the result's spine early.
+// joinNodesInto joins two non-empty treaps into out, writing the
+// winning root before the recursive join below it resolves, so consumers
+// see the result's spine early.
 func (c RConfig) joinNodesInto(ctx Ctx, d int, na, nb *RNode, out NodeCell) {
 	if na.Prio > nb.Prio {
 		right := c.R.NewNode()
@@ -481,9 +504,9 @@ func splitRT26Node(n *RT26Node) (l *RT26Node, mid int, r *RT26Node) {
 	return l, mid, r
 }
 
-// t26InsertInto is t26InsertBody in CPS: the descending loop over
-// partitions becomes a continuation chain, each child touch resuming the
-// loop at the next lower index. newKeys/newKids are touched by exactly
+// t26InsertInto inserts ws below the (already split-safe) node n into
+// out. The descending loop over partitions is a continuation chain, each
+// child touch resuming the loop at the next lower index. newKeys/newKids are touched by exactly
 // one continuation at a time (the chain is a single logical thread;
 // the cell's write→touch edge orders the handoff), so no locking.
 func (c RConfig) t26InsertInto(ctx Ctx, d int, n *RT26Node, ws []int, out T26Cell) {

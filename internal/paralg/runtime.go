@@ -1,50 +1,39 @@
+// Package paralg runs the paper's algorithms for real, on the
+// work-stealing scheduler of package sched (SchedRuntime, schedrt.go):
+// every tree edge is a one-shot cell, so partially built trees flow
+// between pipeline stages exactly as in the cost model, and the scheduler
+// plays the runtime of Section 4 — touching an unwritten cell suspends
+// only the touching continuation, and the write reactivates it.
+//
+// The algorithms (port.go, batch.go, split.go) are written in
+// continuation-passing style: where straight-line future code would block
+// on a read, they call NodeCell.Touch(ctx, k) and continue in k. The ctx
+// value threads the current scheduling context (the *sched.Worker running
+// the task, or nil from outside the runtime) through every fork and
+// touch, mirroring how costalg threads *core.Ctx.
+//
+// Unbounded forking would drown the asymptotics in task overhead, so
+// every algorithm takes an RConfig with a SpawnDepth: forks above that
+// recursion depth become scheduler tasks, deeper ones run inline in the
+// caller. SpawnDepth is the grain-size ablation knob of the A-GRAIN
+// experiment.
 package paralg
 
-// This file defines the runtime-portable face of the package: a small
-// Runtime interface that the pipelined algorithms in port.go are written
-// against, so the same algorithm text runs either on the goroutine-per-
-// future runtime of package future (GoRuntime, below) or on the explicit
-// work-stealing scheduler of package sched (SchedRuntime, schedrt.go).
-//
-// The portable style is continuation-passing: where the classic Config
-// methods call Cell.Read (blocking a goroutine), the RConfig ports call
-// NodeCell.Touch(ctx, k), which on the sched runtime suspends only the
-// continuation k — never a goroutine. The ctx value threads the current
-// scheduling context (a *sched.Worker, or nil on the Go runtime) through
-// every fork and touch, mirroring how costalg threads *core.Ctx.
-
 import (
-	"pipefut/internal/future"
 	"pipefut/internal/seqtreap"
 	"pipefut/internal/seqtree"
 	"pipefut/internal/t26"
 	"pipefut/internal/verdict"
 )
 
-// Ctx is the opaque per-task scheduling context. The Go runtime ignores
-// it; the sched runtime passes the current *sched.Worker so forks and
-// reactivations land on the local deque. Algorithm code only threads it.
+// Ctx is the opaque per-task scheduling context: the current
+// *sched.Worker, so forks and reactivations land on the local deque, or
+// nil (or an AffineCtx hint) from outside the runtime. Algorithm code
+// only threads it.
 type Ctx = any
 
-// Runtime abstracts the futures machinery an algorithm needs: forking a
-// task and creating one-shot cells for tree edges.
-type Runtime interface {
-	// Name identifies the runtime in benchmark output.
-	Name() string
-	// Fork schedules f as an independent task. ctx must be the value the
-	// caller's own task received (or nil from outside the runtime).
-	Fork(ctx Ctx, f func(Ctx))
-	// NewNode returns a fresh unwritten tree-edge cell.
-	NewNode() NodeCell
-	// DoneNode returns a cell already holding n.
-	DoneNode(n *RNode) NodeCell
-	// NewT26 returns a fresh unwritten 2-6-tree-edge cell.
-	NewT26() T26Cell
-	// DoneT26 returns a cell already holding n.
-	DoneT26(n *RT26Node) T26Cell
-}
-
-// NodeCell is a one-shot future holding a treap/BST node.
+// NodeCell is a one-shot future holding a treap/BST node. Scheduler cells
+// and the born-written chunk cells of grain.go both implement it.
 type NodeCell interface {
 	// Write resolves the cell. Writing twice panics.
 	Write(ctx Ctx, n *RNode)
@@ -63,8 +52,8 @@ type T26Cell interface {
 	Read() *RT26Node
 }
 
-// RNode is the runtime-portable analogue of Node: a BST/treap node whose
-// children are NodeCells. A cell holding nil is an empty subtree.
+// RNode is a BST/treap node whose children are NodeCells. A cell holding
+// nil is an empty subtree.
 type RNode struct {
 	Key   int
 	Prio  int64
@@ -72,7 +61,11 @@ type RNode struct {
 	Right NodeCell
 }
 
-// RT26Node is the runtime-portable analogue of T26Node.
+// RT26Node is a 2-6 tree node whose children are T26Cells — the Section
+// 3.4 structure executed for real: the root of each insertion's result is
+// written as soon as its key structure is decided, so the next
+// well-separated key array starts descending while the previous one is
+// still working its way down.
 type RT26Node struct {
 	Keys []int
 	Kids []T26Cell // nil for leaf
@@ -81,12 +74,14 @@ type RT26Node struct {
 // IsLeaf reports whether n is a leaf.
 func (n *RT26Node) IsLeaf() bool { return len(n.Kids) == 0 }
 
-// RConfig pairs a Runtime with the granularity knob, mirroring Config.
+// RConfig pairs a scheduler with the granularity knobs.
 type RConfig struct {
-	R Runtime
-	// SpawnDepth bounds parallel recursion exactly as Config.SpawnDepth:
-	// forks at recursion depth < SpawnDepth become runtime tasks, deeper
-	// ones run inline in the caller.
+	// R is the scheduler the algorithms fork onto and allocate cells on.
+	R *SchedRuntime
+	// SpawnDepth bounds parallel recursion: forks at recursion depth <
+	// SpawnDepth become runtime tasks, deeper ones run inline in the
+	// caller. 0 makes every algorithm sequential; 64 is effectively
+	// unbounded for laptop-scale inputs.
 	SpawnDepth int
 	// GrainCutoff coarsens below-cutoff subtrees into chunk cells (see
 	// grain.go): subtrees of at most GrainCutoff nodes are built and
@@ -104,6 +99,11 @@ type RConfig struct {
 	// gated records that classed has run on this config copy.
 	gated bool
 }
+
+// DefaultConfig spawns down to recursion depth 14 (≈16k-way parallelism at
+// the frontier), a good default for the benchmarks in this repository.
+// Set R before use.
+var DefaultConfig = RConfig{SpawnDepth: 14}
 
 // classed resolves the GrainCutoff gate for the named entry point onto
 // the config copy that flows through one public call: the knob is
@@ -133,7 +133,7 @@ func (c RConfig) fork(ctx Ctx, d int, f func(Ctx)) {
 // --- converters -----------------------------------------------------------
 
 // RFromSeqTree converts a sequential BST into a materialized cell tree.
-func RFromSeqTree(r Runtime, t *seqtree.Node) NodeCell {
+func RFromSeqTree(r *SchedRuntime, t *seqtree.Node) NodeCell {
 	if t == nil {
 		return r.DoneNode(nil)
 	}
@@ -141,7 +141,7 @@ func RFromSeqTree(r Runtime, t *seqtree.Node) NodeCell {
 }
 
 // RFromSeqTreap converts a sequential treap into a materialized cell tree.
-func RFromSeqTreap(r Runtime, t *seqtreap.Node) NodeCell {
+func RFromSeqTreap(r *SchedRuntime, t *seqtreap.Node) NodeCell {
 	if t == nil {
 		return r.DoneNode(nil)
 	}
@@ -179,7 +179,7 @@ func RWait(t NodeCell) {
 }
 
 // RFromSeqT26 converts a sequential 2-6 tree into a materialized cell tree.
-func RFromSeqT26(r Runtime, t *t26.Node) T26Cell {
+func RFromSeqT26(r *SchedRuntime, t *t26.Node) T26Cell {
 	n := &RT26Node{Keys: append([]int(nil), t.Keys...)}
 	for _, kid := range t.Kids {
 		n.Kids = append(n.Kids, RFromSeqT26(r, kid))
@@ -204,41 +204,3 @@ func RWaitT26(t T26Cell) {
 		RWaitT26(kid)
 	}
 }
-
-// --- GoRuntime ------------------------------------------------------------
-
-// GoRuntime runs forks as goroutines and cells as future.Cell — the
-// classic runtime of this package behind the portable interface. Touch
-// blocks the calling goroutine on Read, so suspension costs a goroutine;
-// that is exactly the cost the sched runtime removes.
-type GoRuntime struct{}
-
-// Name implements Runtime.
-func (GoRuntime) Name() string { return "go" }
-
-// Fork implements Runtime.
-func (GoRuntime) Fork(_ Ctx, f func(Ctx)) { go f(nil) }
-
-// NewNode implements Runtime.
-func (GoRuntime) NewNode() NodeCell { return goNodeCell{future.New[*RNode]()} }
-
-// DoneNode implements Runtime.
-func (GoRuntime) DoneNode(n *RNode) NodeCell { return goNodeCell{future.Done(n)} }
-
-// NewT26 implements Runtime.
-func (GoRuntime) NewT26() T26Cell { return goT26Cell{future.New[*RT26Node]()} }
-
-// DoneT26 implements Runtime.
-func (GoRuntime) DoneT26(n *RT26Node) T26Cell { return goT26Cell{future.Done(n)} }
-
-type goNodeCell struct{ c *future.Cell[*RNode] }
-
-func (g goNodeCell) Write(_ Ctx, n *RNode)              { g.c.Write(n) }
-func (g goNodeCell) Touch(ctx Ctx, k func(Ctx, *RNode)) { k(ctx, g.c.Read()) }
-func (g goNodeCell) Read() *RNode                       { return g.c.Read() }
-
-type goT26Cell struct{ c *future.Cell[*RT26Node] }
-
-func (g goT26Cell) Write(_ Ctx, n *RT26Node)              { g.c.Write(n) }
-func (g goT26Cell) Touch(ctx Ctx, k func(Ctx, *RT26Node)) { k(ctx, g.c.Read()) }
-func (g goT26Cell) Read() *RT26Node                       { return g.c.Read() }

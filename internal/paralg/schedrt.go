@@ -1,10 +1,11 @@
 package paralg
 
 // SchedRuntime adapts the explicit work-stealing scheduler of package
-// sched to the portable Runtime interface. The Ctx threaded through the
-// algorithms is the current *sched.Worker (nil when entering from outside
-// the pool), so every fork lands on the forking worker's own deque and
-// every touch of an unwritten cell suspends just the continuation.
+// sched to the algorithms' Ctx/NodeCell vocabulary. The Ctx threaded
+// through the algorithms is the current *sched.Worker (nil when entering
+// from outside the pool), so every fork lands on the forking worker's own
+// deque and every touch of an unwritten cell suspends just the
+// continuation.
 
 import "pipefut/internal/sched"
 
@@ -54,12 +55,10 @@ func (s *SchedRuntime) Close() {
 	s.RT.Shutdown()
 }
 
-// Name implements Runtime.
-func (s *SchedRuntime) Name() string { return "sched" }
-
-// Fork implements Runtime. A ctx made by AffineCtx routes the fork to
-// the hinted worker's mailbox; any other ctx follows the usual contract
-// (a *sched.Worker forks onto its own deque, nil injects globally).
+// Fork schedules f as an independent task. A ctx made by AffineCtx
+// routes the fork to the hinted worker's mailbox; any other ctx follows
+// the usual contract (a *sched.Worker forks onto its own deque, nil
+// injects globally).
 func (s *SchedRuntime) Fork(ctx Ctx, f func(Ctx)) {
 	if a, ok := ctx.(affineCtx); ok {
 		a.rt.Submit(nil, func(w *sched.Worker) { f(w) }, a.worker)
@@ -68,18 +67,18 @@ func (s *SchedRuntime) Fork(ctx Ctx, f func(Ctx)) {
 	s.RT.Fork(asWorker(ctx), func(w *sched.Worker) { f(w) })
 }
 
-// NewNode implements Runtime.
+// NewNode returns a fresh unwritten tree-edge cell.
 func (s *SchedRuntime) NewNode() NodeCell { return schedNodeCell{sched.NewCell[*RNode](s.RT)} }
 
-// DoneNode implements Runtime. The allocation is attributed to the
-// runtime's cell counters (sched.DoneOn) so per-runtime cell budgets
-// include converter-built input trees.
+// DoneNode returns a cell already holding n. The allocation is
+// attributed to the runtime's cell counters (sched.DoneOn) so
+// per-runtime cell budgets include converter-built input trees.
 func (s *SchedRuntime) DoneNode(n *RNode) NodeCell { return schedNodeCell{sched.DoneOn(s.RT, n)} }
 
-// NewT26 implements Runtime.
+// NewT26 returns a fresh unwritten 2-6-tree-edge cell.
 func (s *SchedRuntime) NewT26() T26Cell { return schedT26Cell{sched.NewCell[*RT26Node](s.RT)} }
 
-// DoneT26 implements Runtime.
+// DoneT26 returns a cell already holding n.
 func (s *SchedRuntime) DoneT26(n *RT26Node) T26Cell { return schedT26Cell{sched.DoneOn(s.RT, n)} }
 
 // asWorker recovers the scheduling context; a nil or foreign ctx means

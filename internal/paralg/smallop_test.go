@@ -16,12 +16,12 @@ var update = flag.Bool("update", false, "rewrite testdata/smallop_counts.json fr
 // setOps is the three set operations, each with its sequential oracle.
 var setOps = []struct {
 	name string
-	run  func(c RConfig, a, b NodeCell) NodeCell
+	run  func(c RConfig) func(ctx Ctx, a, b NodeCell) NodeCell
 	seq  func(a, b *seqtreap.Node) *seqtreap.Node
 }{
-	{"union", func(c RConfig, a, b NodeCell) NodeCell { return c.Union(nil, a, b) }, seqtreap.Union},
-	{"diff", func(c RConfig, a, b NodeCell) NodeCell { return c.Diff(nil, a, b) }, seqtreap.Diff},
-	{"intersect", func(c RConfig, a, b NodeCell) NodeCell { return c.Intersect(nil, a, b) }, seqtreap.Intersect},
+	{"union", func(c RConfig) func(Ctx, NodeCell, NodeCell) NodeCell { return c.Union }, seqtreap.Union},
+	{"diff", func(c RConfig) func(Ctx, NodeCell, NodeCell) NodeCell { return c.Diff }, seqtreap.Diff},
+	{"intersect", func(c RConfig) func(Ctx, NodeCell, NodeCell) NodeCell { return c.Intersect }, seqtreap.Intersect},
 }
 
 // TestOneSidedChunkMatchesOracle checks the one-sided chunk path (a
@@ -38,47 +38,48 @@ func TestOneSidedChunkMatchesOracle(t *testing.T) {
 	wantBig := seqtreap.FromKeys(bigKeys)
 
 	for _, cutoff := range []int{1, 8, 32} {
-		for _, rt := range []string{"go", "sched"} {
-			t.Run(rt, func(t *testing.T) {
-				var r Runtime = GoRuntime{}
-				if rt == "sched" {
-					s := NewSchedRuntime(2)
-					defer s.Close()
-					r = s
-				}
-				cfg := RConfig{R: r, SpawnDepth: 6, GrainCutoff: cutoff}
-				ta, tb := cfg.BuildTreap(nil, ka), cfg.BuildTreap(nil, kb)
-				materialized := cfg.Union(nil, ta, tb)
-				RWait(materialized)
+		withPortRuntimes(t, func(t *testing.T, r *SchedRuntime, enter func(func(Ctx))) {
+			cfg := RConfig{R: r, SpawnDepth: 6, GrainCutoff: cutoff}
+			var ta, tb, materialized NodeCell
+			enter(func(ctx Ctx) {
+				ta, tb = cfg.BuildTreap(ctx, ka), cfg.BuildTreap(ctx, kb)
+				materialized = cfg.Union(ctx, ta, tb)
+			})
+			RWait(materialized)
 
-				for _, m := range []int{0, 1, cutoff/2 + 1, cutoff} {
-					// Half the chunk's keys are in the big set, half are not.
-					sk := append(append([]int(nil), bigKeys[3*m:3*m+m/2]...), outside[:m-m/2]...)
-					small := cfg.BuildTreap(nil, sk)
-					if _, ok := cfg.classed("paralg.RConfig.Union").chunkArg(small); !ok {
-						t.Fatalf("cutoff=%d m=%d: operand is not a below-cutoff chunk", cutoff, m)
-					}
-					wantSmall := seqtreap.FromKeys(sk)
-					for _, op := range setOps {
-						for _, pipelined := range []bool{false, true} {
+			for _, m := range []int{0, 1, cutoff/2 + 1, cutoff} {
+				// Half the chunk's keys are in the big set, half are not.
+				sk := append(append([]int(nil), bigKeys[3*m:3*m+m/2]...), outside[:m-m/2]...)
+				var small NodeCell
+				enter(func(ctx Ctx) { small = cfg.BuildTreap(ctx, sk) })
+				if _, ok := cfg.classed("paralg.RConfig.Union").chunkArg(small); !ok {
+					t.Fatalf("cutoff=%d m=%d: operand is not a below-cutoff chunk", cutoff, m)
+				}
+				wantSmall := seqtreap.FromKeys(sk)
+				for _, op := range setOps {
+					for _, pipelined := range []bool{false, true} {
+						var bigSmall, smallBig NodeCell
+						enter(func(ctx Ctx) {
 							big := materialized
 							if pipelined {
-								big = cfg.Union(nil, ta, tb)
+								big = cfg.Union(ctx, ta, tb)
 							}
-							check := func(order string, got NodeCell, want *seqtreap.Node) {
-								t.Helper()
-								if !seqtreap.Equal(RToSeqTreap(got), want) {
-									t.Errorf("cutoff=%d m=%d %s(%s) pipelined=%v disagrees with the oracle",
-										cutoff, m, op.name, order, pipelined)
-								}
+							run := op.run(cfg)
+							bigSmall, smallBig = run(ctx, big, small), run(ctx, small, big)
+						})
+						check := func(order string, got NodeCell, want *seqtreap.Node) {
+							t.Helper()
+							if !seqtreap.Equal(RToSeqTreap(got), want) {
+								t.Errorf("cutoff=%d m=%d %s(%s) pipelined=%v disagrees with the oracle",
+									cutoff, m, op.name, order, pipelined)
 							}
-							check("big, chunk", op.run(cfg, big, small), op.seq(wantBig, wantSmall))
-							check("chunk, big", op.run(cfg, small, big), op.seq(wantSmall, wantBig))
 						}
+						check("big, chunk", bigSmall, op.seq(wantBig, wantSmall))
+						check("chunk, big", smallBig, op.seq(wantSmall, wantBig))
 					}
 				}
-			})
-		}
+			}
+		})
 	}
 }
 
@@ -91,7 +92,7 @@ type smallOpCounts struct {
 
 // TestSmallOpCountGolden pins the exact cells and spawns of 2- and 16-key
 // union, difference and intersect against a materialized 32k-key treap
-// at serve's defaults (paralg.DefaultConfig's SpawnDepth, serve's grain
+// at serve's defaults (DefaultConfig's SpawnDepth, serve's grain
 // cutoff 32). Both are functions of the operand shapes alone — which
 // cells are allocated and which recursion depths fork is decided by the
 // keys, never by the schedule — so the golden is exact and fails in
@@ -120,7 +121,7 @@ func TestSmallOpCountGolden(t *testing.T) {
 		for _, op := range setOps {
 			s.RT.Wait()
 			before := s.RT.Counters()
-			out := op.run(cfg, big, small)
+			out := op.run(cfg)(nil, big, small)
 			RWait(out)
 			s.RT.Wait()
 			d := s.RT.Counters().Sub(before)

@@ -13,7 +13,7 @@ import (
 // set, including when fired at a root whose tree is still materializing
 // under a pipelined union — the durability layer's exact usage.
 func TestRSnapshotKeys(t *testing.T) {
-	withPortRuntimes(t, func(t *testing.T, r Runtime) {
+	withPortRuntimes(t, func(t *testing.T, r *SchedRuntime, enter func(func(Ctx))) {
 		rng := workload.NewRNG(11)
 		for _, cutoff := range []int{0, 32} {
 			ka, kb := workload.OverlappingKeySets(rng, 400, 400, 0.3)
@@ -31,13 +31,15 @@ func TestRSnapshotKeys(t *testing.T) {
 			sort.Ints(want)
 
 			cfg := RConfig{R: r, SpawnDepth: 5, GrainCutoff: cutoff}
-			u := cfg.Union(nil, RFromSeqTreap(r, seqtreap.FromKeys(ka)), RFromSeqTreap(r, seqtreap.FromKeys(kb)))
-
+			var u NodeCell
 			var got atomic.Pointer[[]int]
 			done := make(chan struct{})
-			RSnapshotKeys(nil, u, func(_ Ctx, keys []int) {
-				got.Store(&keys)
-				close(done)
+			enter(func(ctx Ctx) {
+				u = cfg.Union(ctx, RFromSeqTreap(r, seqtreap.FromKeys(ka)), RFromSeqTreap(r, seqtreap.FromKeys(kb)))
+				RSnapshotKeys(ctx, u, func(_ Ctx, keys []int) {
+					got.Store(&keys)
+					close(done)
+				})
 			})
 			RWait(u)
 			<-done
@@ -55,11 +57,13 @@ func TestRSnapshotKeys(t *testing.T) {
 
 		// Empty tree: the walk resolves immediately with no keys.
 		done := make(chan struct{})
-		RSnapshotKeys(nil, RFromSeqTreap(r, nil), func(_ Ctx, keys []int) {
-			if len(keys) != 0 {
-				t.Errorf("empty snapshot has %d keys", len(keys))
-			}
-			close(done)
+		enter(func(ctx Ctx) {
+			RSnapshotKeys(ctx, RFromSeqTreap(r, nil), func(_ Ctx, keys []int) {
+				if len(keys) != 0 {
+					t.Errorf("empty snapshot has %d keys", len(keys))
+				}
+				close(done)
+			})
 		})
 		<-done
 	})

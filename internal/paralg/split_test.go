@@ -13,7 +13,7 @@ import (
 // directly over the filtered key sets.
 
 func TestSplitMatchesOracleProperty(t *testing.T) {
-	withPortRuntimes(t, func(t *testing.T, r Runtime) {
+	withPortRuntimes(t, func(t *testing.T, r *SchedRuntime, enter func(func(Ctx))) {
 		f := func(seed uint16, n8, pivotPick, cfgPick uint8) bool {
 			n := int(n8%200) + 1
 			rng := workload.NewRNG(uint64(seed))
@@ -29,7 +29,8 @@ func TestSplitMatchesOracleProperty(t *testing.T) {
 			}
 
 			cfg := RConfig{R: r, SpawnDepth: portSpawnDepths[int(cfgPick)%len(portSpawnDepths)]}
-			lt, ge := cfg.Split(nil, RFromSeqTreap(r, seqtreap.FromKeys(keys)), pivot)
+			var lt, ge NodeCell
+			enter(func(ctx Ctx) { lt, ge = cfg.Split(ctx, RFromSeqTreap(r, seqtreap.FromKeys(keys)), pivot) })
 			return seqtreap.Equal(RToSeqTreap(lt), seqtreap.FromKeys(lo)) &&
 				seqtreap.Equal(RToSeqTreap(ge), seqtreap.FromKeys(hi))
 		}
@@ -40,7 +41,7 @@ func TestSplitMatchesOracleProperty(t *testing.T) {
 }
 
 func TestSplitRangesMatchesOracleProperty(t *testing.T) {
-	withPortRuntimes(t, func(t *testing.T, r Runtime) {
+	withPortRuntimes(t, func(t *testing.T, r *SchedRuntime, enter func(func(Ctx))) {
 		f := func(seed uint16, n8, k8, cfgPick uint8) bool {
 			n := int(n8%200) + 1
 			k := int(k8%7) + 1 // 1..7 shards → 0..6 pivots
@@ -53,7 +54,8 @@ func TestSplitRangesMatchesOracleProperty(t *testing.T) {
 			}
 
 			cfg := RConfig{R: r, SpawnDepth: portSpawnDepths[int(cfgPick)%len(portSpawnDepths)]}
-			pieces := cfg.SplitRanges(nil, RFromSeqTreap(r, seqtreap.FromKeys(keys)), pivots)
+			var pieces []NodeCell
+			enter(func(ctx Ctx) { pieces = cfg.SplitRanges(ctx, RFromSeqTreap(r, seqtreap.FromKeys(keys)), pivots) })
 			if len(pieces) != k {
 				return false
 			}
@@ -91,7 +93,8 @@ const (
 // TestSplitRangesNoPivots: the degenerate single-shard partition returns
 // the input cell itself — no split work at all.
 func TestSplitRangesNoPivots(t *testing.T) {
-	r := GoRuntime{}
+	r := NewSchedRuntime(1)
+	defer r.Close()
 	cfg := RConfig{R: r, SpawnDepth: 4}
 	in := RFromSeqTreap(r, seqtreap.FromKeys([]int{3, 1, 2}))
 	out := cfg.SplitRanges(nil, in, nil)
@@ -104,13 +107,16 @@ func TestSplitRangesNoPivots(t *testing.T) {
 // materializing (the output of a pipelined union) works — the split
 // consumes cells as they are written.
 func TestSplitOfUnderConstructionTree(t *testing.T) {
-	withPortRuntimes(t, func(t *testing.T, r Runtime) {
+	withPortRuntimes(t, func(t *testing.T, r *SchedRuntime, enter func(func(Ctx))) {
 		cfg := RConfig{R: r, SpawnDepth: 64}
 		rng := workload.NewRNG(7)
 		ka := workload.DistinctKeys(rng, 300, 2048)
 		kb := workload.DistinctKeys(rng, 300, 2048)
-		u := cfg.Union(nil, RFromSeqTreap(r, seqtreap.FromKeys(ka)), RFromSeqTreap(r, seqtreap.FromKeys(kb)))
-		lt, ge := cfg.Split(nil, u, 1024)
+		var lt, ge NodeCell
+		enter(func(ctx Ctx) {
+			u := cfg.Union(ctx, RFromSeqTreap(r, seqtreap.FromKeys(ka)), RFromSeqTreap(r, seqtreap.FromKeys(kb)))
+			lt, ge = cfg.Split(ctx, u, 1024)
+		})
 
 		all := seqtreap.Union(seqtreap.FromKeys(ka), seqtreap.FromKeys(kb))
 		var lo, hi []int

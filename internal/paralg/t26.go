@@ -1,149 +1,13 @@
 package paralg
 
-import (
-	"fmt"
-	"sort"
+import "sort"
 
-	"pipefut/internal/future"
-	"pipefut/internal/t26"
-)
+// Sorted-array helpers of the 2-6 tree insertion (port.go), with the same
+// semantics as the sequential oracle in package t26.
 
-// T26Node is a 2-6 tree node whose children are future cells — the
-// Section 3.4 structure executed for real: the root of each insertion's
-// result is written as soon as its key structure is decided, so the next
-// well-separated key array starts descending while the previous one is
-// still working its way down.
-type T26Node struct {
-	Keys []int
-	Kids []*future.Cell[*T26Node] // nil for leaf
-}
-
-// T26 is a (possibly future) reference to a 2-6 tree.
-type T26 = *future.Cell[*T26Node]
-
-// IsLeaf reports whether n is a leaf.
-func (n *T26Node) IsLeaf() bool { return len(n.Kids) == 0 }
-
-// FromSeqT26 converts a sequential 2-6 tree into a materialized cell tree.
-func FromSeqT26(t *t26.Node) T26 {
-	n := &T26Node{Keys: append([]int(nil), t.Keys...)}
-	for _, kid := range t.Kids {
-		n.Kids = append(n.Kids, FromSeqT26(kid))
-	}
-	return future.Done(n)
-}
-
-// ToSeqT26 reads the whole tree back (blocking until complete).
-func ToSeqT26(t T26) *t26.Node {
-	n := t.Read()
-	out := &t26.Node{Keys: append([]int(nil), n.Keys...)}
-	for _, kid := range n.Kids {
-		out.Kids = append(out.Kids, ToSeqT26(kid))
-	}
-	return out
-}
-
-// WaitT26 blocks until every cell of the tree is written.
-func WaitT26(t T26) {
-	n := t.Read()
-	for _, kid := range n.Kids {
-		WaitT26(kid)
-	}
-}
-
+// t26SplitThreshold is the key count at which a node is split on the way
+// down, so the insertion below it can never overflow it.
 const t26SplitThreshold = 3
-
-// T26Insert inserts one well-separated sorted key array and returns the
-// new root immediately; children materialize concurrently.
-func (c Config) T26Insert(tree T26, ws []int) T26 {
-	body := func() *T26Node {
-		n := tree.Read()
-		if len(ws) == 0 {
-			return n
-		}
-		if len(n.Keys) >= t26SplitThreshold {
-			l, mid, r := splitT26Node(n)
-			n = &T26Node{Keys: []int{mid}, Kids: []*future.Cell[*T26Node]{
-				future.Done(l), future.Done(r),
-			}}
-		}
-		return c.t26InsertBody(0, n, ws)
-	}
-	if c.SpawnDepth > 0 {
-		return future.Spawn(body)
-	}
-	return future.Done(body())
-}
-
-func splitT26Node(n *T26Node) (l *T26Node, mid int, r *T26Node) {
-	m := len(n.Keys) / 2
-	mid = n.Keys[m]
-	l = &T26Node{Keys: append([]int(nil), n.Keys[:m]...)}
-	r = &T26Node{Keys: append([]int(nil), n.Keys[m+1:]...)}
-	if !n.IsLeaf() {
-		l.Kids = append([]*future.Cell[*T26Node](nil), n.Kids[:m+1]...)
-		r.Kids = append([]*future.Cell[*T26Node](nil), n.Kids[m+1:]...)
-	}
-	return l, mid, r
-}
-
-func (c Config) t26InsertBody(d int, n *T26Node, ws []int) *T26Node {
-	if n.IsLeaf() {
-		merged := mergeUniqueKeys(n.Keys, ws)
-		if len(merged) > t26.MaxKeys {
-			panic(fmt.Sprintf("paralg: leaf would hold %d keys — insert array not well separated", len(merged)))
-		}
-		return &T26Node{Keys: merged}
-	}
-	parts := partitionKeys(ws, n.Keys)
-	newKeys := append([]int(nil), n.Keys...)
-	newKids := append([]*future.Cell[*T26Node](nil), n.Kids...)
-	for i := len(parts) - 1; i >= 0; i-- {
-		sub := parts[i]
-		if len(sub) == 0 {
-			continue
-		}
-		child := newKids[i].Read()
-		if len(child.Keys) >= t26SplitThreshold {
-			l, mid, r := splitT26Node(child)
-			wl, wr := splitKeysAround(sub, mid)
-			nl, nr := future.Done(l), future.Done(r)
-			if len(wl) > 0 {
-				nl = c.t26Recurse(d+1, l, wl)
-			}
-			if len(wr) > 0 {
-				nr = c.t26Recurse(d+1, r, wr)
-			}
-			newKeys = insertKeyAt(newKeys, i, mid)
-			newKids[i] = nl
-			newKids = insertT26At(newKids, i+1, nr)
-		} else {
-			newKids[i] = c.t26Recurse(d+1, child, sub)
-		}
-	}
-	if len(newKeys) > t26.MaxKeys {
-		panic(fmt.Sprintf("paralg: node would hold %d keys — invariant violated", len(newKeys)))
-	}
-	return &T26Node{Keys: newKeys, Kids: newKids}
-}
-
-func (c Config) t26Recurse(d int, n *T26Node, ws []int) T26 {
-	if c.spawn(d) {
-		return future.Spawn(func() *T26Node { return c.t26InsertBody(d, n, ws) })
-	}
-	return future.Done(c.t26InsertBody(d, n, ws))
-}
-
-// T26BulkInsert pipelines the level arrays through the tree: each
-// insertion starts as soon as the previous root cell is written.
-func (c Config) T26BulkInsert(tree T26, levels [][]int) T26 {
-	for _, lv := range levels {
-		tree = c.T26Insert(tree, lv)
-	}
-	return tree
-}
-
-// --- sorted-array helpers (same semantics as the sequential oracle) ------
 
 func partitionKeys(ws []int, keys []int) [][]int {
 	out := make([][]int, 0, len(keys)+1)
@@ -170,13 +34,6 @@ func splitKeysAround(ws []int, k int) (lt, gt []int) {
 
 func insertKeyAt(xs []int, i, v int) []int {
 	xs = append(xs, 0)
-	copy(xs[i+1:], xs[i:])
-	xs[i] = v
-	return xs
-}
-
-func insertT26At(xs []*future.Cell[*T26Node], i int, v *future.Cell[*T26Node]) []*future.Cell[*T26Node] {
-	xs = append(xs, nil)
 	copy(xs[i+1:], xs[i:])
 	xs[i] = v
 	return xs

@@ -10,9 +10,10 @@ package verdict
 //
 //  1. No recognized cell operation (new/fork/write/touch) reachable from
 //     the entry → Unanalyzed. This is what keeps vacuity honest: the
-//     RConfig ports reach their cells through the Runtime interface,
-//     which the SSA-lite builder does not model, and an absence of
-//     findings over code the analyses cannot see is no verdict at all.
+//     RConfig algorithms reach their cells through the NodeCell/T26Cell
+//     interfaces and the scheduler, which the SSA-lite builder does not
+//     model, and an absence of findings over code the analyses cannot
+//     see is no verdict at all.
 //  2. flow.Summaries.Forwarded proves every touch waits on a
 //     synchronously-materialized cell → Forwarded. The verdict is
 //     relative to the entry contract (callers pass materialized cell
@@ -267,7 +268,7 @@ func (sp *staticPkg) classify(spec string) (EntryVerdict, error) {
 }
 
 // entry finds the function named by spec: "Merge" for a package-level
-// function, "Config.Merge" for a method.
+// function, "RConfig.Merge" for a method.
 func (sp *staticPkg) entry(spec string) (*ssa.Func, error) {
 	recv, name := "", spec
 	if i := strings.IndexByte(spec, '.'); i >= 0 {

@@ -16,7 +16,7 @@
 // with a recorded DAG that touches some cell twice. A disagreement in
 // that direction means the analyzer is unsound and the test fails.
 //
-// internal/paralg runs on plain goroutines with future.Cell, which records
-// nothing; its dynamic witness is the recorded DAG of the costalg twin of
+// internal/paralg runs on the work-stealing scheduler, whose cells record
+// no DAG; its dynamic witness is the recorded DAG of the costalg twin of
 // the same paper algorithm.
 package verifycross

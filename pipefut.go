@@ -7,13 +7,16 @@
 //
 // The package exposes three layers:
 //
-//   - Futures for real parallel execution (Cell, Spawn, ...), running on
-//     goroutines with Go's scheduler as the paper's runtime system.
+//   - Futures for real parallel execution (Cell, Spawn, ...): the paper's
+//     future construct mapped directly onto Go, one goroutine per future
+//     call, a blocked Read suspending its goroutine.
 //
 //   - Set, an immutable ordered set backed by treaps whose bulk operations
 //     (Union, Subtract, Intersect) are the paper's pipelined parallel
 //     algorithms: every tree edge is a future cell, so partially built
-//     trees stream between pipeline stages.
+//     trees stream between pipeline stages. Sets run on the work-stealing
+//     scheduler of Section 4 (internal/sched), which parks a suspended
+//     continuation instead of a goroutine.
 //
 //   - The cost model (Engine, Ctx, Fork, Touch, ...), a virtual-time
 //     instrument that measures the work and depth of a future-based

@@ -2,6 +2,7 @@ package pipefut
 
 import (
 	"sort"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -213,6 +214,21 @@ func TestContainsOnInFlightSet(t *testing.T) {
 	if !u.Contains(ka[0]) || !u.Contains(kb[0]) {
 		t.Fatal("contains on in-flight set wrong")
 	}
+
+	// Several goroutines at once build on u and query their results, all
+	// on the one shared default scheduler.
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			v := u.Subtract(NewSetAsync(ka[g*100 : g*100+100]...))
+			if v.Contains(ka[g*100]) || !v.Contains(ka[g*100+100]) {
+				t.Error("concurrent subtract on the shared scheduler wrong")
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestSortProperty(t *testing.T) {

@@ -2,6 +2,7 @@ package pipefut
 
 import (
 	"runtime"
+	"sync"
 
 	"pipefut/internal/paralg"
 	"pipefut/internal/seqtreap"
@@ -14,12 +15,11 @@ import (
 // them blocks only as far as it must. Because sets are immutable they may
 // be shared freely between goroutines.
 //
-// Sets run on one of two runtimes. The default (NewSet, NewSetAsync) is
-// the goroutine runtime: every future is a goroutine and Go's scheduler
-// is the paper's runtime system. A Pool runs the same algorithms on the
-// explicit work-stealing scheduler of internal/sched instead, where
+// Every set runs on the work-stealing scheduler of internal/sched, where
 // suspending on an unwritten edge parks a continuation rather than a
-// goroutine.
+// goroutine. NewSet and NewSetAsync share one process-wide scheduler
+// with GOMAXPROCS workers, started on first use; a Pool is a separate
+// scheduler with its own workers and lifetime.
 //
 // Priorities are a pure hash of the key, so a set's tree shape depends only
 // on its contents — two sets with equal contents are structurally
@@ -29,10 +29,17 @@ type Set struct {
 	cfg  paralg.RConfig
 }
 
-// defaultRCfg is the goroutine-runtime configuration NewSet uses,
-// mirroring paralg.DefaultConfig's grain bound.
+// defaultRuntime is the process-wide scheduler behind NewSet, NewSetAsync
+// and Sort: GOMAXPROCS workers, started on first use and never closed
+// (idle workers park, so it costs nothing between operations).
+var defaultRuntime = sync.OnceValue(func() *paralg.SchedRuntime {
+	return paralg.NewSchedRuntime(runtime.GOMAXPROCS(0))
+})
+
+// defaultRCfg is the configuration NewSet uses: the shared scheduler at
+// paralg.DefaultConfig's grain bound.
 func defaultRCfg() paralg.RConfig {
-	return paralg.RConfig{R: paralg.GoRuntime{}, SpawnDepth: paralg.DefaultConfig.SpawnDepth}
+	return paralg.RConfig{R: defaultRuntime(), SpawnDepth: paralg.DefaultConfig.SpawnDepth}
 }
 
 // NewSet returns the set of the given keys (duplicates are fine).
@@ -58,9 +65,10 @@ func (s *Set) WithSpawnDepth(d int) *Set {
 	return &Set{root: s.root, cfg: paralg.RConfig{R: s.cfg.R, SpawnDepth: d}}
 }
 
-// adopt returns t's root as a cell tree on s's runtime. Same runtime:
-// shared directly. Different runtimes: t is materialized (blocking) and
-// copied, because cells are owned by the runtime that created them.
+// adopt returns t's root as a cell tree on s's scheduler. Same scheduler:
+// shared directly. Different schedulers (a Pool and the shared default,
+// or two Pools): t is materialized (blocking) and copied, because cells
+// are owned by the scheduler that created them.
 func (s *Set) adopt(t *Set) paralg.NodeCell {
 	if s.cfg.R == t.cfg.R {
 		return t.root
@@ -119,7 +127,10 @@ func (s *Set) Contains(key int) bool {
 
 // Keys returns the set's contents in ascending order, blocking until the
 // whole set is materialized.
-func (s *Set) Keys() []int {
+func (s *Set) Keys() []int { return keysOf(s.root) }
+
+// keysOf walks a cell tree in order, blocking on each cell.
+func keysOf(t paralg.NodeCell) []int {
 	var out []int
 	var walk func(t paralg.NodeCell)
 	walk = func(t paralg.NodeCell) {
@@ -131,7 +142,7 @@ func (s *Set) Keys() []int {
 		out = append(out, n.Key)
 		walk(n.Right)
 	}
-	walk(s.root)
+	walk(t)
 	return out
 }
 
@@ -157,10 +168,11 @@ func (s *Set) Equal(t *Set) bool {
 
 // ---- Pool: sets on the explicit work-stealing scheduler -----------------
 
-// Pool is a fixed fleet of scheduler workers that runs set operations as
-// suspendable tasks instead of goroutines. Sets made by the same pool
-// compose without copying; mixing sets from different pools (or from
-// NewSet) works but materializes the foreign operand first.
+// Pool is a fixed fleet of scheduler workers, separate from the shared
+// scheduler NewSet uses, with its own worker count and lifetime. Sets
+// made by the same pool compose without copying; mixing sets from
+// different pools (or from NewSet) works but materializes the foreign
+// operand first.
 //
 // Close the pool when done. Close first waits for every outstanding
 // operation to finish and only then stops the workers, so a set built on
@@ -200,13 +212,13 @@ func (p *Pool) NewSetAsync(keys ...int) *Set {
 func (p *Pool) Close() { p.rt.Close() }
 
 // Sort sorts xs (ascending, duplicates removed) with the future-based tree
-// mergesort of the paper's Section 5 conjecture, running on goroutines.
+// mergesort of the paper's Section 5 conjecture, running on the shared
+// scheduler.
 func Sort(xs []int) []int {
 	if len(xs) == 0 {
 		return nil
 	}
-	t := paralg.DefaultConfig.Mergesort(xs)
-	out := keysOf(t)
+	out := keysOf(defaultRCfg().Mergesort(nil, xs))
 	// Mergesort keeps duplicates adjacent but a Set would not; dedupe to
 	// match the documented contract.
 	dst := out[:0]
@@ -216,20 +228,4 @@ func Sort(xs []int) []int {
 		}
 	}
 	return dst
-}
-
-func keysOf(t paralg.Tree) []int {
-	var out []int
-	var walk func(t paralg.Tree)
-	walk = func(t paralg.Tree) {
-		n := t.Read()
-		if n == nil {
-			return
-		}
-		walk(n.Left)
-		out = append(out, n.Key)
-		walk(n.Right)
-	}
-	walk(t)
-	return out
 }

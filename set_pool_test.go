@@ -20,7 +20,10 @@ func sortedUnique(xs []int) []int {
 	return dst
 }
 
-func TestPoolSetOpsMatchGoRuntime(t *testing.T) {
+// TestPoolSetOpsMatchDefaultRuntime runs the same set operations on a
+// pool and on the shared default scheduler: two separate schedulers must
+// agree.
+func TestPoolSetOpsMatchDefaultRuntime(t *testing.T) {
 	pool := NewPool(4)
 	defer pool.Close()
 
@@ -43,7 +46,7 @@ func TestPoolSetOpsMatchGoRuntime(t *testing.T) {
 	}
 	for _, c := range checks {
 		if !c.got.Equal(c.want) {
-			t.Errorf("%s: pool result differs from goroutine-runtime result", c.name)
+			t.Errorf("%s: pool result differs from default-runtime result", c.name)
 		}
 	}
 	if a.Len() != len(sortedUnique(ka)) {
@@ -51,9 +54,9 @@ func TestPoolSetOpsMatchGoRuntime(t *testing.T) {
 	}
 }
 
-// TestPoolMixedRuntimeOperands unions a pool set with a default
-// (goroutine-runtime) set; the foreign operand must be adopted, not
-// touched by pool workers as if it were theirs.
+// TestPoolMixedRuntimeOperands unions a pool set with a default set —
+// both scheduler sets, from different schedulers; the foreign operand
+// must be adopted, not touched by pool workers as if it were theirs.
 func TestPoolMixedRuntimeOperands(t *testing.T) {
 	pool := NewPool(2)
 	defer pool.Close()
@@ -72,7 +75,7 @@ func TestPoolMixedRuntimeOperands(t *testing.T) {
 			t.Fatalf("Keys = %v, want %v", got, want)
 		}
 	}
-	// And the symmetric direction: goroutine set adopting a pool set.
+	// And the symmetric direction: default set adopting a pool set.
 	u2 := b.Union(a)
 	if !u2.Equal(u) {
 		t.Errorf("b.Union(a) differs from a.Union(b)")
