@@ -11,7 +11,6 @@
 //	pipebench -maxlgn 16      # bound input sizes at 2^16
 //	pipebench -trials 5       # more repetitions for the randomized runs
 //	pipebench -smoke          # tiny inputs, one trial (CI smoke lane)
-//	pipebench -json out.json  # also emit JSON-lines data points (benchguard input)
 package main
 
 import (
@@ -30,7 +29,6 @@ func main() {
 		seed   = flag.Uint64("seed", bench.DefaultConfig.Seed, "workload seed")
 		trials = flag.Int("trials", bench.DefaultConfig.Trials, "trials per point for randomized experiments")
 		smoke  = flag.Bool("smoke", false, "smoke-test mode: cap inputs at 2^12 and run one trial")
-		jsonF  = flag.String("json", "", "also write machine-readable data points (JSON lines) to this file")
 	)
 	flag.Parse()
 
@@ -45,15 +43,6 @@ func main() {
 	if *smoke {
 		cfg.MaxLgN = min(cfg.MaxLgN, bench.QuickConfig.MaxLgN)
 		cfg.Trials = 1
-	}
-	if *jsonF != "" {
-		f, err := os.Create(*jsonF)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "pipebench: %v\n", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		cfg.JSONOut = f
 	}
 	run := func(e bench.Experiment) {
 		fmt.Printf("### %s — %s\n### %s\n\n", e.ID, e.Paper, e.Claim)

@@ -9,7 +9,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -26,19 +25,6 @@ type Config struct {
 	// Trials is how many random instances are averaged per data point
 	// for the randomized (expected-cost) experiments.
 	Trials int
-	// JSONOut, when non-nil, additionally receives one JSON object per
-	// measured data point (one line each) from experiments that publish
-	// machine-readable results — the input of cmd/benchguard.
-	JSONOut io.Writer
-}
-
-// EmitJSON writes one data-point record to JSONOut, if configured.
-func (cfg Config) EmitJSON(v any) {
-	if cfg.JSONOut == nil {
-		return
-	}
-	enc := json.NewEncoder(cfg.JSONOut)
-	_ = enc.Encode(v)
 }
 
 // DefaultConfig is what cmd/pipebench uses unless told otherwise.

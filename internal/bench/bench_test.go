@@ -16,7 +16,7 @@ func TestEveryExperimentRunsQuick(t *testing.T) {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
 			cfg := QuickConfig
-			if e.ID == "speedup" || e.ID == "grain" || e.ID == "serve" || e.ID == "locality" {
+			if e.ID == "speedup" || e.ID == "grain" {
 				cfg.MaxLgN = 10
 			}
 			var buf bytes.Buffer
@@ -33,8 +33,8 @@ func TestEveryExperimentRunsQuick(t *testing.T) {
 
 func TestRegistryContents(t *testing.T) {
 	want := []string{"diff", "discipline", "fig1", "fig2", "grain", "intersect",
-		"linearity", "locality", "machine", "merge", "mergesort", "mlpaper", "online",
-		"openloop", "patterns", "rebalance", "sched", "serve", "speedup", "t26", "union"}
+		"linearity", "machine", "merge", "mergesort", "mlpaper", "online",
+		"patterns", "rebalance", "sched", "speedup", "t26", "union"}
 	all := All()
 	if len(all) != len(want) {
 		t.Fatalf("registered %d experiments, want %d", len(all), len(want))

@@ -20,10 +20,10 @@ package paralg
 //
 // Sequential-twin safety is a STATIC verdict: RConfig.GrainCutoff is
 // honored only for entry points whose twins the cellcost analysis
-// proved cell-free (verdict.SeqSafeOf, manifest section
-// cell_budget.seqsafe); everything else fails closed to the pipelined
-// path. internal/verifycross re-proves the claim dynamically (zero
-// cells below cutoff, budgets respected above).
+// proved cell-free (the seqSafe table in runtime.go, a copy of manifest
+// section cell_budget.seqsafe); everything else fails closed to the
+// pipelined path. internal/verifycross re-proves the claim dynamically
+// (zero cells below cutoff, budgets respected above).
 //
 // Chunk cells never suspend a continuation (nothing is ever pending on
 // a born-written cell), and the lazy expansion race is benign — RNodes

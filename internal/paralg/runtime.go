@@ -23,7 +23,6 @@ import (
 	"pipefut/internal/seqtreap"
 	"pipefut/internal/seqtree"
 	"pipefut/internal/t26"
-	"pipefut/internal/verdict"
 )
 
 // Ctx is the opaque per-task scheduling context: the current
@@ -89,7 +88,7 @@ type RConfig struct {
 	// born-written cell, instead of one scheduler cell per node. The
 	// zero value disables coarsening. The knob is honored ONLY for
 	// entry points whose sequential twins carry the manifest's seqsafe
-	// proof (verdict.SeqSafeOf); other entries ignore it, failing
+	// proof (the seqSafe table); other entries ignore it, failing
 	// closed to the fully pipelined path.
 	GrainCutoff int
 	// cutoff is GrainCutoff after the seqsafe gate: non-zero only when
@@ -105,16 +104,35 @@ type RConfig struct {
 // Set R before use.
 var DefaultConfig = RConfig{SpawnDepth: 14}
 
+// seqSafe is the set of entry points whose below-cutoff sequential twins
+// the verdict manifest (internal/verdict/verdicts.json, section
+// cell_budget.seqsafe) proves cell-free. It is a copy so that the
+// serving binary does not link the analyzer that writes the proof;
+// internal/verdict's TestSeqSafeTable fails when the two differ.
+var seqSafe = map[string]bool{
+	"paralg.RConfig.BuildTreap":  true,
+	"paralg.RConfig.DeleteKeys":  true,
+	"paralg.RConfig.Diff":        true,
+	"paralg.RConfig.InsertKeys":  true,
+	"paralg.RConfig.Intersect":   true,
+	"paralg.RConfig.Join":        true,
+	"paralg.RConfig.Merge":       true,
+	"paralg.RConfig.Split":       true,
+	"paralg.RConfig.SplitRanges": true,
+	"paralg.RConfig.Union":       true,
+}
+
 // classed resolves the GrainCutoff gate for the named entry point onto
 // the config copy that flows through one public call: the knob is
 // honored only when the verdict manifest proves the entry's below-cutoff
-// sequential twins cell-free (see grain.go), and otherwise fails closed
-// to the fully pipelined path. The first stamp wins, so an entry point
-// calling another keeps the gate of the call the user actually made.
+// sequential twins cell-free (seqSafe, see grain.go), and otherwise
+// fails closed to the fully pipelined path. The first stamp wins, so an
+// entry point calling another keeps the gate of the call the user
+// actually made.
 func (c RConfig) classed(entry string) RConfig {
 	if !c.gated {
 		c.gated = true
-		if c.GrainCutoff > 0 && verdict.SeqSafeOf(entry) {
+		if c.GrainCutoff > 0 && seqSafe[entry] {
 			c.cutoff = c.GrainCutoff
 		}
 	}

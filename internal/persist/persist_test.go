@@ -237,6 +237,74 @@ func TestAppendNonDenseRejected(t *testing.T) {
 	}
 }
 
+// TestFailedWriteIsNotAcked swaps the segment's handle for a read-only
+// one, so the next flush's Write fails. The failed record's callback
+// must find Err() set, AckedSeq must stay at the last good record, the
+// store must refuse further records and snapshots, and recovery must
+// find exactly the acked prefix.
+func TestFailedWriteIsNotAcked(t *testing.T) {
+	for _, policy := range []FsyncPolicy{FsyncBatch, FsyncNever, FsyncAlways} {
+		t.Run(policy.String(), func(t *testing.T) {
+			dir := t.TempDir()
+			st, _, err := OpenShard(dir, Options{Policy: policy})
+			if err != nil {
+				t.Fatal(err)
+			}
+			durable := make(chan error, 1)
+			onDurable := func() { durable <- st.Err() }
+			if err := st.Append(Record{Seq: 1, Kind: KindUnion, Keys: []int{1}}, onDurable); err != nil {
+				t.Fatal(err)
+			}
+			if err := <-durable; err != nil {
+				t.Fatalf("first record: %v", err)
+			}
+
+			w := st.wal
+			w.ioMu.Lock()
+			w.mu.Lock()
+			ro, err := os.Open(w.segs[len(w.segs)-1].path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w.f.Close()
+			w.f = ro
+			w.mu.Unlock()
+			w.ioMu.Unlock()
+
+			if err := st.Append(Record{Seq: 2, Kind: KindUnion, Keys: []int{2}}, onDurable); err != nil {
+				t.Fatal(err)
+			}
+			if err := <-durable; err == nil {
+				t.Fatal("the failed record's callback found no error: a lost record would be acked")
+			}
+			if got := w.AckedSeq(); got != 1 {
+				t.Fatalf("AckedSeq = %d after a failed write, want 1", got)
+			}
+			if err := st.Append(Record{Seq: 3, Kind: KindUnion, Keys: []int{3}}, nil); err == nil {
+				t.Fatal("a failed WAL accepted a new record")
+			}
+			if err := st.Snapshot(1, []int{1}); err == nil {
+				t.Fatal("a failed store took a snapshot")
+			}
+			if snaps, _ := filepath.Glob(filepath.Join(dir, "snap-*")); len(snaps) != 0 {
+				t.Fatalf("a failed store wrote snapshot files %v", snaps)
+			}
+			if err := st.Close(); err == nil {
+				t.Fatal("Close of a failed WAL reported no error")
+			}
+
+			st2, rec, err := OpenShard(dir, Options{Policy: policy})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st2.Close()
+			if rec.LastSeq != 1 || len(rec.Records) != 1 {
+				t.Fatalf("recovery after the failure: lastSeq=%d records=%d, want the acked prefix (1, 1)", rec.LastSeq, len(rec.Records))
+			}
+		})
+	}
+}
+
 func TestOpenGapBetweenSnapshotAndLog(t *testing.T) {
 	dir := t.TempDir()
 	st, _, err := OpenShard(dir, Options{Policy: FsyncNever})

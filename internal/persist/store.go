@@ -100,7 +100,9 @@ func OpenShard(dir string, opts Options) (*ShardStore, Recovery, error) {
 }
 
 // Append logs one coalesced run; onDurable fires (on the flusher
-// goroutine) once the record is durable under the fsync policy.
+// goroutine) once the flush covering the record has finished. The
+// record is durable under the fsync policy only if Err() is nil when
+// onDurable runs; after a failure Append refuses new records.
 func (s *ShardStore) Append(r Record, onDurable func()) error {
 	return s.wal.Append(r, onDurable)
 }
@@ -110,8 +112,12 @@ func (s *ShardStore) Sync() error { return s.wal.Sync() }
 
 // Snapshot durably writes the full key set as of seq, then truncates
 // the WAL behind it: older snapshots are pruned and log segments whose
-// records are all covered are deleted.
+// records are all covered are deleted. A store whose WAL has failed
+// writes no snapshot either: it stops writing altogether.
 func (s *ShardStore) Snapshot(seq uint64, keys []int) error {
+	if err := s.wal.Err(); err != nil {
+		return err
+	}
 	if err := writeSnapshot(s.dir, seq, keys); err != nil {
 		return err
 	}
@@ -124,7 +130,8 @@ func (s *ShardStore) Snapshot(seq uint64, keys []int) error {
 // SnapshotSeq is the seq of the newest durable snapshot.
 func (s *ShardStore) SnapshotSeq() uint64 { return s.snapSeq.Load() }
 
-// Err surfaces the first background I/O error, if any.
+// Err surfaces the first background I/O error, if any; from then on
+// the store is fail-stop (see WAL.Err).
 func (s *ShardStore) Err() error { return s.wal.Err() }
 
 // Close flushes and fsyncs the WAL and stops the flusher. After a

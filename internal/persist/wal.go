@@ -6,7 +6,9 @@ package persist
 // durability callback — the applier never blocks on I/O, mirroring how
 // it never blocks on trees. The flusher retires the pending buffer with
 // one write (plus one fsync, per policy) and fires every callback the
-// write covered; callbacks are what gate request acks in serve.
+// write covered; callbacks are what gate request acks in serve. The WAL
+// is fail-stop: after its first failed write or fsync it does no more
+// I/O, acks nothing more, and refuses new records (see Err).
 
 import (
 	"fmt"
@@ -80,13 +82,20 @@ func (w *WAL) start() {
 }
 
 // Append buffers one record and registers onDurable (may be nil) to
-// fire once the record is durable under the policy. Records must carry
-// dense seqs: exactly lastSeq+1. Append itself never performs I/O.
+// fire once the flush covering the record has finished; the record is
+// durable under the policy only if Err() is still nil when onDurable
+// runs. Records must carry dense seqs: exactly lastSeq+1. Append itself
+// never performs I/O, and it refuses every record once Err() != nil.
 func (w *WAL) Append(r Record, onDurable func()) error {
 	w.mu.Lock()
 	if w.closed {
 		w.mu.Unlock()
 		return fmt.Errorf("persist: append to closed WAL in %s", w.dir)
+	}
+	if w.firstE != nil {
+		err := w.firstE
+		w.mu.Unlock()
+		return err
 	}
 	if r.Seq != w.lastSeq+1 {
 		w.mu.Unlock()
@@ -134,29 +143,33 @@ func (w *WAL) flusher() {
 // flush retires the pending buffer: one write, one optional fsync, then
 // every covered durability callback. barrier forces the fsync even with
 // nothing pending (the Sync contract: all prior writes on stable
-// storage when it returns).
+// storage when it returns). Once a write or fsync has failed, flush
+// touches the file no more (a later fsync may report success for pages
+// the kernel already dropped) and leaves acked where it was; the
+// callbacks still run, and find Err() set.
 func (w *WAL) flush(sync, barrier bool) {
 	w.ioMu.Lock()
 	defer w.ioMu.Unlock()
 	w.mu.Lock()
-	buf, ws, seq, f := w.pending, w.waiters, w.lastSeq, w.f
+	buf, ws, seq, f, err := w.pending, w.waiters, w.lastSeq, w.f, w.firstE
 	w.pending, w.waiters = nil, nil
 	w.mu.Unlock()
-	if len(buf) > 0 {
-		if _, err := f.Write(buf); err != nil {
-			w.setErr(err)
+	if err == nil && len(buf) > 0 {
+		if _, err = f.Write(buf); err == nil {
+			w.bytes.Add(int64(len(buf)))
 		}
-		w.bytes.Add(int64(len(buf)))
 	}
-	if sync && (len(buf) > 0 || barrier) {
-		if err := f.Sync(); err != nil {
-			w.setErr(err)
-		}
+	if err == nil && sync && (len(buf) > 0 || barrier) {
+		err = f.Sync()
 		w.syncs.Add(1)
 	}
-	// Monotone under ioMu: concurrent flushes are serialized and seq
-	// snapshots are nondecreasing.
-	w.acked.Store(seq)
+	if err != nil {
+		w.setErr(err)
+	} else {
+		// Monotone under ioMu: concurrent flushes are serialized and seq
+		// snapshots are nondecreasing.
+		w.acked.Store(seq)
+	}
 	for _, fn := range ws {
 		fn()
 	}
@@ -244,16 +257,21 @@ func (w *WAL) setErr(err error) {
 	w.mu.Unlock()
 }
 
-// Err returns the first I/O error the WAL hit, if any. Durability
-// callbacks still fire after an error (liveness over stuck requests);
-// operators must watch this instead.
+// Err returns the first I/O error the WAL hit (a failed write, fsync or
+// segment removal), if any. The error is sticky and the WAL fail-stop:
+// from then on it writes and fsyncs nothing, AckedSeq stops, and Append
+// refuses new records. Durability callbacks of records caught in or
+// behind the failure still fire, so no waiter hangs, but they run after
+// the error is set: a callback that finds Err() != nil must treat its
+// record as lost.
 func (w *WAL) Err() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.firstE
 }
 
-// AckedSeq is the highest seq whose durability callbacks have fired.
+// AckedSeq is the highest seq known durable: its flush wrote (and,
+// per policy, fsynced) it without error.
 func (w *WAL) AckedSeq() uint64 { return w.acked.Load() }
 
 // openWAL scans dir's segments in name order, decodes and verifies

@@ -136,14 +136,15 @@ func (s *Server) handleKeys(w http.ResponseWriter, _ *http.Request) {
 
 // statusFor maps serving errors to HTTP codes: malformed requests are
 // 400 (client bug, don't retry), shed load is 429 (retry later),
-// draining is 503 (this instance is going away).
+// draining and a failed shard log are 503 (this instance cannot take
+// the write).
 func statusFor(err error) int {
 	switch {
 	case errors.Is(err, ErrBadRequest):
 		return http.StatusBadRequest
 	case errors.Is(err, ErrOverloaded):
 		return http.StatusTooManyRequests
-	case errors.Is(err, ErrDraining):
+	case errors.Is(err, ErrDraining), errors.Is(err, ErrNotDurable):
 		return http.StatusServiceUnavailable
 	default:
 		return http.StatusInternalServerError

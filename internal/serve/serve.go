@@ -72,6 +72,11 @@ var (
 	// ErrDraining rejects a request because the server is draining or
 	// closed. The request was not applied.
 	ErrDraining = errors.New("serve: draining, not admitting requests")
+	// ErrNotDurable fails a mutation whose log record a shard's store
+	// failed to write or fsync (or refused, once failed). The mutation
+	// may be visible in memory, but it may not survive a restart; the
+	// failed store refuses every later mutation the same way.
+	ErrNotDurable = errors.New("serve: mutation not durable, shard log failed")
 )
 
 // Cut is a per-shard version vector. For mutations, slot i holds the
@@ -490,7 +495,11 @@ func (s *Server) Apply(op Op, keys []int) (Cut, error) {
 		sh.cond.Signal()
 	}
 	s.unroute(multi)
-	return req.done.ReadErr() // ErrShutdown impossible under drain discipline; surface anyway
+	cut, err := req.done.ReadErr() // ErrShutdown impossible under drain discipline; surface anyway
+	if p := req.lost.Load(); err == nil && p != nil {
+		return nil, fmt.Errorf("%w: %w", ErrNotDurable, *p)
+	}
+	return cut, err
 }
 
 // Contains reports whether key is in the set, against the owning shard's

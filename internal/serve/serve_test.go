@@ -339,6 +339,39 @@ func TestKeysConsistentCut(t *testing.T) {
 	wg.Wait()
 }
 
+// TestNotDurableIsAnError drives the failure arm of the ack gate: once
+// a shard's store refuses records, a mutation touching that shard fails
+// with ErrNotDurable (HTTP 503) instead of being acked, and the other
+// shard keeps acking.
+func TestNotDurableIsAnError(t *testing.T) {
+	s, err := Open(Config{P: 2, Shards: 2, Universe: 100, DataDir: t.TempDir(), Fsync: "always"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if s.ShardOf(5) == s.ShardOf(70) {
+		t.Fatal("keys 5 and 70 share a shard; the test needs one per shard")
+	}
+	if _, err := s.Apply(OpUnion, []int{5, 70}); err != nil {
+		t.Fatal(err)
+	}
+
+	s.shards[s.ShardOf(5)].store.Close() // every later record there is refused
+	for _, keys := range [][]int{{5}, {6, 71}} {
+		if _, err := s.Apply(OpUnion, keys); !errors.Is(err, ErrNotDurable) {
+			t.Errorf("Apply(union %v) on a failed shard log: err = %v, want ErrNotDurable", keys, err)
+		}
+	}
+	if _, err := s.Apply(OpUnion, []int{72}); err != nil {
+		t.Errorf("Apply on the healthy shard: %v", err)
+	}
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/op", bytes.NewBufferString(`{"op":"union","keys":[7]}`)))
+	if rec.Code != http.StatusServiceUnavailable {
+		t.Errorf("POST /op on a failed shard log: status %d body %s, want 503", rec.Code, rec.Body)
+	}
+}
+
 func TestHTTPHandler(t *testing.T) {
 	s := New(Config{P: 2, Shards: 2, Universe: 100})
 	h := s.Handler()

@@ -24,16 +24,21 @@ import (
 // is what the caller's Apply blocks on.
 type request struct {
 	start time.Time
-	cut   Cut          // per-shard versions; slot i written by shard i's piece
-	open  atomic.Int32 // pieces not yet published
+	cut   Cut                   // per-shard versions; slot i written by shard i's piece
+	lost  atomic.Pointer[error] // first piece's log failure, if any
+	open  atomic.Int32          // pieces not yet published
 	done  *sched.Cell[Cut]
 }
 
-// finish records piece completion for shard idx at version v. Distinct
+// finish records piece completion for shard idx at version v; lost is
+// the piece's log failure, or nil once its record is durable. Distinct
 // pieces write distinct cut slots; the atomic countdown orders every
 // slot write before the done write.
-func (r *request) finish(ctx paralg.Ctx, idx int, v uint64) {
+func (r *request) finish(ctx paralg.Ctx, idx int, v uint64, lost error) {
 	r.cut[idx] = v
+	if lost != nil {
+		r.lost.CompareAndSwap(nil, &lost)
+	}
 	if r.open.Add(-1) == 0 {
 		r.done.Write(asWorker(ctx), r.cut)
 	}
@@ -164,12 +169,14 @@ func coalescible(a, b Op) bool {
 
 // ackGate completes a run's requests once every arm has arrived: the
 // result root published (from the scheduler) and, when persisting, the
-// record durable (from the WAL flusher). Whichever arrives last — on
-// whatever goroutine — releases the acks.
+// record's flush finished (from the WAL flusher). Whichever arrives
+// last — on whatever goroutine — releases the acks, failing them with
+// lost when the record did not become durable.
 type ackGate struct {
 	sh   *shard
 	run  []shardReq
 	v    uint64
+	lost error // written by the durability arm before it arrives
 	open atomic.Int32
 }
 
@@ -179,7 +186,7 @@ func (g *ackGate) arrive(ctx paralg.Ctx) {
 	}
 	for _, r := range g.run {
 		g.sh.lat.record(time.Since(r.req.start))
-		r.req.finish(ctx, g.sh.idx, g.v)
+		r.req.finish(ctx, g.sh.idx, g.v, g.lost)
 	}
 }
 
@@ -216,11 +223,18 @@ func (sh *shard) dispatch(run []shardReq) {
 			merged = mergeSortedDistinct(merged, r.keys)
 		}
 		gate.open.Store(2)
-		durable := func() { gate.arrive(nil) }
+		// The flusher sets the store's error before it runs the
+		// callbacks of a failed flush, so Err() here is this record's
+		// outcome.
+		durable := func() {
+			gate.lost = sh.store.Err()
+			gate.arrive(nil)
+		}
 		if err := sh.store.Append(persist.Record{Seq: v, Kind: kindOf(op), Keys: merged}, durable); err != nil {
-			// Only a closed WAL or a seq bug lands here (I/O errors are
-			// asynchronous); don't strand the requests.
-			durable()
+			// A failed, closed or misused store refused the record; fail
+			// the requests rather than strand them.
+			gate.lost = err
+			gate.arrive(nil)
 		}
 	}
 

@@ -3,7 +3,11 @@ package verdict
 import (
 	"bytes"
 	"flag"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"os"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -178,6 +182,68 @@ func TestManifestShape(t *testing.T) {
 		}
 		if !found {
 			t.Errorf("golden entry %s belongs to no witness group", e)
+		}
+	}
+}
+
+// TestSeqSafeTable holds paralg's seqSafe table, the copy of the
+// manifest's cell_budget.seqsafe section that gates GrainCutoff at run
+// time, equal to the manifest in both directions: every proven entry is
+// in the table, and every table entry is proven. The table is read from
+// paralg's source, so paralg need not export it and the server need not
+// link this package.
+func TestSeqSafeTable(t *testing.T) {
+	const src = "../paralg/runtime.go"
+	f, err := parser.ParseFile(token.NewFileSet(), src, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	table := map[string]bool{}
+	found := false
+	ast.Inspect(f, func(n ast.Node) bool {
+		vs, ok := n.(*ast.ValueSpec)
+		if !ok || len(vs.Names) != 1 || vs.Names[0].Name != "seqSafe" || len(vs.Values) != 1 {
+			return true
+		}
+		found = true
+		lit, ok := vs.Values[0].(*ast.CompositeLit)
+		if !ok {
+			t.Fatalf("%s: seqSafe is not a map literal", src)
+		}
+		for _, elt := range lit.Elts {
+			kv, _ := elt.(*ast.KeyValueExpr)
+			if kv == nil {
+				t.Fatalf("%s: seqSafe entry is not \"entry\": bool", src)
+			}
+			key, kok := kv.Key.(*ast.BasicLit)
+			val, vok := kv.Value.(*ast.Ident)
+			if !kok || !vok || key.Kind != token.STRING {
+				t.Fatalf("%s: seqSafe entry is not \"entry\": bool", src)
+			}
+			entry, err := strconv.Unquote(key.Value)
+			if err != nil {
+				t.Fatal(err)
+			}
+			table[entry] = val.Name == "true"
+		}
+		return false
+	})
+	if !found {
+		t.Fatalf("%s declares no seqSafe table", src)
+	}
+
+	proven := map[string]bool{}
+	for entry, sv := range Golden().CellBudget.SeqSafe {
+		if sv.Safe {
+			proven[entry] = true
+			if !table[entry] {
+				t.Errorf("manifest proves %s seqsafe, but paralg's seqSafe table leaves GrainCutoff off for it", entry)
+			}
+		}
+	}
+	for entry, on := range table {
+		if on && !proven[entry] {
+			t.Errorf("paralg's seqSafe table honors GrainCutoff for %s, which the manifest does not prove seqsafe", entry)
 		}
 	}
 }
