@@ -1,11 +1,12 @@
-// Command pipelint runs the pipefut futures-correctness analyzer suite
-// (internal/analysis): doublewrite, neverwritten, leakedfork, nonlinear.
-// These passes check the static preconditions behind the paper's cost and
-// machine bounds — single-assignment cells, every write capability
-// exercised, no dead speculative forks, linear touch patterns (§4,
-// Lemma 4.1).
+// Command pipelint runs the pipefut futures-correctness analyzer suite:
+// doublewrite and leakedfork (internal/analysis), flowlinear, mustwrite
+// and deadcycle (internal/analysis/flow). These passes check the static
+// preconditions behind the paper's cost and machine bounds —
+// single-assignment cells, every result cell written on every path, no
+// dead speculative forks, at most one touch per cell, no inevitable
+// deadlocks (§4, Lemma 4.1).
 //
-// It runs in two modes:
+// It runs the same suite in two modes:
 //
 //	pipelint ./...                      # standalone, over go list patterns
 //	go vet -vettool=$(which pipelint) ./...   # as a go vet tool
@@ -39,7 +40,6 @@ import (
 func main() {
 	versionFlag := flag.String("V", "", "print version and exit (go vet handshake)")
 	flagsFlag := flag.Bool("flags", false, "print analyzer flags as JSON and exit (go vet handshake)")
-	flowFlag := flag.Bool("flow", false, "also run the flow-sensitive analyzers (flowlinear, mustwrite, deadcycle); standalone mode only")
 	jsonFlag := flag.Bool("json", false, "write diagnostics to stdout as a JSON array instead of text on stderr")
 	verdictsFlag := flag.Bool("verdicts", false, "emit the flow-class verdict manifest (internal/verdict) as JSON to stdout and exit; the optional argument is the repo root (default .)")
 	budgetFlag := flag.Bool("budget", false, "print the per-entry-point cell-allocation budget table (human-readable) and exit; the optional argument is the repo root (default .)")
@@ -89,21 +89,18 @@ func main() {
 	if len(args) == 0 {
 		args = []string{"./..."}
 	}
-	suite := analysis.All()
-	if *flowFlag {
-		suite = append(suite, flow.All()...)
-	}
-	os.Exit(standalone(args, suite, *jsonFlag))
+	os.Exit(standalone(args, *jsonFlag))
+}
+
+// suite is the analyzer suite both modes run.
+func suite() []*analysis.Analyzer {
+	return append(analysis.All(), flow.All()...)
 }
 
 func usage() {
-	fmt.Fprintf(os.Stderr, "usage: pipelint [-flow] [-json] [packages]\n"+
+	fmt.Fprintf(os.Stderr, "usage: pipelint [-json] [packages]\n"+
 		"   or: go vet -vettool=$(which pipelint) [packages]\n\nanalyzers:\n")
-	for _, a := range analysis.All() {
-		fmt.Fprintf(os.Stderr, "  %-12s %s\n", a.Name, a.Doc)
-	}
-	fmt.Fprintf(os.Stderr, "\nflow-sensitive analyzers (-flow, standalone mode only):\n")
-	for _, a := range flow.All() {
+	for _, a := range suite() {
 		fmt.Fprintf(os.Stderr, "  %-12s %s\n", a.Name, a.Doc)
 	}
 }
@@ -133,7 +130,7 @@ type jsonDiag struct {
 // standalone lists, loads, and analyzes the packages matching the
 // patterns, printing diagnostics to stderr (or, with -json, to stdout as
 // a JSON array). Exit code 1 means findings, 2 means operational failure.
-func standalone(patterns []string, suite []*analysis.Analyzer, asJSON bool) int {
+func standalone(patterns []string, asJSON bool) int {
 	pkgs, err := load.GoList(".", patterns...)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "pipelint:", err)
@@ -169,7 +166,7 @@ func standalone(patterns []string, suite []*analysis.Analyzer, asJSON bool) int 
 			fmt.Fprintf(os.Stderr, "pipelint: skipping %s (cgo)\n", p.ImportPath)
 			continue
 		}
-		diags, err := checkPackage(fset, p.ImportPath, p.Dir, p.AbsFiles(), nil, exports, suite)
+		diags, err := checkPackage(fset, p.ImportPath, p.Dir, p.AbsFiles(), nil, exports)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "pipelint: %s: %v\n", p.ImportPath, err)
 			failed = true
@@ -265,10 +262,10 @@ func sortedKeys[V any](m map[string]V) []string {
 // checkPackage typechecks one package — via export data when available,
 // falling back to typechecking dependencies from source (load.LoadPackage)
 // — and runs the analyzer suite over it.
-func checkPackage(fset *token.FileSet, pkgPath, dir string, files []string, importMap, exports map[string]string, suite []*analysis.Analyzer) ([]analysis.Diagnostic, error) {
+func checkPackage(fset *token.FileSet, pkgPath, dir string, files []string, importMap, exports map[string]string) ([]analysis.Diagnostic, error) {
 	pkg, err := load.LoadPackage(fset, pkgPath, dir, files, importMap, exports)
 	if err != nil {
 		return nil, err
 	}
-	return analysis.Run(suite, fset, pkg.Files, pkg.Types, pkg.Info)
+	return analysis.Run(suite(), fset, pkg.Files, pkg.Types, pkg.Info)
 }

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"go/token"
 	"os"
-
-	"pipefut/internal/analysis"
 )
 
 // vetConfig mirrors the JSON configuration the go command writes for each
@@ -56,7 +54,7 @@ func unitcheck(cfgFile string) int {
 	}
 
 	fset := token.NewFileSet()
-	diags, err := checkPackage(fset, cfg.ImportPath, cfg.Dir, cfg.GoFiles, cfg.ImportMap, cfg.PackageFile, analysis.All())
+	diags, err := checkPackage(fset, cfg.ImportPath, cfg.Dir, cfg.GoFiles, cfg.ImportMap, cfg.PackageFile)
 	if err != nil {
 		if cfg.SucceedOnTypecheckFailure {
 			return 0

@@ -1,16 +1,16 @@
-// Package analysis implements pipelint, a suite of static analyzers that
-// check the preconditions of the paper's cost and machine bounds (Sections
-// 4–5, Lemma 4.1) at compile time:
+// Package analysis implements the framework of pipelint, a suite of
+// static analyzers that check the preconditions of the paper's cost and
+// machine bounds (Sections 4–5, Lemma 4.1) at compile time, and its two
+// syntactic passes:
 //
 //   - doublewrite:   a future cell reachable by two writes (cells are
 //     single-assignment; the second write panics at runtime),
-//   - neverwritten:  a fork body that can never write one of its result
-//     cells (any touch of that cell is a guaranteed deadlock),
 //   - leakedfork:    fork result cells that are never touched, returned,
-//     or passed on (dead speculative work),
-//   - nonlinear:     a touch of the same cell inside a loop with a
-//     non-constant trip count (breaks the linearity restriction behind
-//     the O(w/p + d) universal bound).
+//     or passed on (dead speculative work).
+//
+// The flow-sensitive passes — linearity, result cells written on every
+// path, inevitable deadlocks — live in internal/analysis/flow;
+// cmd/pipelint runs both sets as one suite.
 //
 // The framework mirrors the golang.org/x/tools/go/analysis API (Analyzer,
 // Pass, Diagnostic) but is built on the standard library only — the build
@@ -62,9 +62,10 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	p.Report(Diagnostic{Pos: pos, Category: p.Analyzer.Name, Message: fmt.Sprintf(format, args...)})
 }
 
-// All returns the full pipelint analyzer suite, in stable order.
+// All returns the syntactic analyzers, in stable order; flow.All
+// returns the rest of the pipelint suite.
 func All() []*Analyzer {
-	return []*Analyzer{DoubleWrite, NeverWritten, LeakedFork, NonLinear}
+	return []*Analyzer{DoubleWrite, LeakedFork}
 }
 
 // NewInfo returns a types.Info with every map the analyzers consult

@@ -5,6 +5,7 @@ import (
 
 	"pipefut/internal/analysis"
 	"pipefut/internal/analysis/analysistest"
+	"pipefut/internal/analysis/flow"
 )
 
 func TestDoubleWrite(t *testing.T) {
@@ -12,7 +13,7 @@ func TestDoubleWrite(t *testing.T) {
 }
 
 func TestNeverWritten(t *testing.T) {
-	analysistest.Run(t, analysistest.TestData(t), analysis.NeverWritten, "neverwritten")
+	analysistest.Run(t, analysistest.TestData(t), flow.MustWrite, "neverwritten")
 }
 
 func TestLeakedFork(t *testing.T) {
@@ -20,5 +21,5 @@ func TestLeakedFork(t *testing.T) {
 }
 
 func TestNonLinear(t *testing.T) {
-	analysistest.Run(t, analysistest.TestData(t), analysis.NonLinear, "nonlinear")
+	analysistest.Run(t, analysistest.TestData(t), flow.FlowLinear, "nonlinear")
 }

@@ -9,8 +9,6 @@ import "pipefut/internal/cellapi"
 
 var (
 	writeTargets   = cellapi.WriteTargets
-	touchTargets   = cellapi.TouchTargets
-	probeTargets   = cellapi.ProbeTargets
 	prewrittenCell = cellapi.PrewrittenCell
 	identObj       = cellapi.IdentObj
 	identNode      = cellapi.IdentNode

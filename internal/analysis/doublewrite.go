@@ -43,7 +43,7 @@ func runDoubleWrite(pass *Pass) error {
 		assigns := make(map[*types.Var][]token.Pos)  // re-bindings, per variable
 		prewritten := make(map[*types.Var]token.Pos) // cells born written (Done/NowCell)
 
-		scopeWalk(info, body, false, scopeVisitor{
+		scopeWalk(info, body, scopeVisitor{
 			call: func(call *ast.CallExpr, ctx callCtx) {
 				for _, target := range writeTargets(info, call) {
 					if id, obj := identNode(info, target); obj != nil {

@@ -280,7 +280,7 @@ func stateFor(pass *analysis.Pass) *packageState {
 		return ps
 	}
 	prog := ssa.Build(pass.Fset, pass.Files, pass.Pkg, pass.TypesInfo)
-	ps := &packageState{prog: prog, sum: ComputeSummaries(prog)}
+	ps := &packageState{prog: prog, sum: computeSummaries(prog)}
 	cache[pass.Pkg] = ps
 	if len(cache) > 64 {
 		// Bounded: drop everything but the newest entry; analyzers of one

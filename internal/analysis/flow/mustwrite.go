@@ -14,8 +14,7 @@ import (
 // (returned, stored, handed to an untracked callee or a nested
 // producer) is treated as handled — the analyzer cannot prove the write
 // is missing. Paths that panic, and bodies that never return normally,
-// carry no obligation. This subsumes the syntactic neverwritten check
-// with branch- and call-aware reasoning.
+// carry no obligation. Writes are tracked across branches and calls.
 var MustWrite = &analysis.Analyzer{
 	Name: "mustwrite",
 	Doc: "report fork bodies that may complete without writing one of " +

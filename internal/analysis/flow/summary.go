@@ -2,7 +2,6 @@ package flow
 
 import (
 	"go/types"
-	"sync"
 
 	"pipefut/internal/cellapi"
 	"pipefut/internal/ssa"
@@ -140,11 +139,6 @@ func boolMapsEqual(a, b map[*types.Var]bool) bool {
 type Summaries struct {
 	prog *ssa.Program
 	m    map[*ssa.Func]*Summary
-
-	// fwd caches the forwarded-flow fixpoint (see forwarded.go),
-	// computed lazily on first use.
-	fwdMu sync.Mutex
-	fwd   map[*ssa.Func]*forwardedFact
 }
 
 // Of returns fn's summary, or nil for nil/foreign functions.
@@ -155,12 +149,12 @@ func (s *Summaries) Of(fn *ssa.Func) *Summary {
 	return s.m[fn]
 }
 
-// ComputeSummaries iterates intraprocedural solves over every function
+// computeSummaries iterates intraprocedural solves over every function
 // until all summaries stabilize. Each field is monotone in its own
 // direction over a finite lattice, so the iteration converges; the round
 // cap is a backstop whose only effect, if ever hit, is missed reports
 // (never false ones).
-func ComputeSummaries(prog *ssa.Program) *Summaries {
+func computeSummaries(prog *ssa.Program) *Summaries {
 	s := &Summaries{prog: prog, m: make(map[*ssa.Func]*Summary, len(prog.Funcs))}
 	for _, fn := range prog.Funcs {
 		s.m[fn] = bootstrapSummary(fn)

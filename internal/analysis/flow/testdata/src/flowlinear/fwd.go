@@ -1,13 +1,12 @@
-// Write-before-touch (forwarded) flow shapes, shared with the
-// forwarded-classification tests (forwarded_test.go): flowlinear's
-// diagnostics here pin down which of these flows are even linear, and
-// the classifier's verdicts over the same functions are asserted in
-// that test.
+// Write-before-touch flow shapes: cells born written, call results
+// materialized at return, and a fork result touched while its producer
+// may still run. flowlinear's diagnostics here pin down which of these
+// flows are linear.
 package flowlinear
 
 import "pipefut/internal/core"
 
-// fwdStraight touches a cell born written: forwarded (and linear).
+// fwdStraight touches a cell born written: linear.
 func fwdStraight(t *core.Ctx) int {
 	d := core.NowCell(t, 5)
 	return core.Touch(t, d)
@@ -18,15 +17,15 @@ func seqPair(t *core.Ctx) (*core.Cell[int], *core.Cell[int]) {
 	return core.NowCell(t, 1), core.NowCell(t, 2)
 }
 
-// fwdChain touches call results that are materialized at return: still
-// forwarded across the call boundary.
+// fwdChain touches call results that are materialized at return, one
+// touch each across the call boundary: linear.
 func fwdChain(t *core.Ctx) int {
 	a, b := seqPair(t)
 	return core.Touch(t, a) + core.Touch(t, b)
 }
 
-// notFwdPipelined touches a fork result: linear, but the write races
-// the touch — not forwarded.
+// notFwdPipelined touches a fork result once: linear, though the write
+// races the touch.
 func notFwdPipelined(t *core.Ctx) int {
 	a := core.Fork1(t, func(t2 *core.Ctx) int { return 1 })
 	return core.Touch(t, a)
@@ -42,9 +41,8 @@ func condReader(t *core.Ctx, c *core.Cell[int], cond bool) int {
 }
 
 // notFwdCond conditionally touches a fork result before its producer is
-// known to have run, then touches it again: the conditional
-// touch-before-write demotes the flow all the way to the general class
-// (it is not even linear — up to two touches reach "a").
+// known to have run, then touches it again: up to two touches reach "a",
+// so the flow is not linear.
 func notFwdCond(t *core.Ctx, cond bool) int {
 	a := core.Fork1(t, func(t2 *core.Ctx) int { return 1 })
 	s := condReader(t, a, cond)

@@ -1,14 +1,13 @@
-// Write-before-touch (forwarded) shapes from mustwrite's side: fork
-// bodies that discharge their write obligation before any touch, and a
-// conditional early touch that is mustwrite-clean yet must still demote
-// the flow class (asserted in forwarded_test.go). No diagnostics are
-// expected in this file.
+// Write-before-touch shapes from mustwrite's side: a body that writes
+// its cell before touching it, and a fork whose body writes both results
+// on every path while the caller conditionally touches one early. Both
+// are mustwrite-clean: no diagnostics are expected in this file.
 package mustwrite
 
 import "pipefut/internal/core"
 
 // writeThenTouch writes its cell then touches it: the canonical
-// write-before-touch body — forwarded, given a caller that owns c.
+// write-before-touch body.
 func writeThenTouch(th *core.Ctx, c *core.Cell[int]) int {
 	core.Write(th, c, 7)
 	return core.Touch(th, c)
@@ -17,7 +16,7 @@ func writeThenTouch(th *core.Ctx, c *core.Cell[int]) int {
 // condEarlyTouch writes both fork results on every body path (mustwrite
 // is satisfied), but the caller conditionally touches one result while
 // the body may still be running: write-before-touch cannot be
-// guaranteed, so the flow demotes to the general class.
+// guaranteed, which is no mustwrite finding.
 func condEarlyTouch(t *core.Ctx, cond bool) int {
 	a, b := core.Fork2(t, func(th *core.Ctx, a2, b2 *core.Cell[int]) {
 		core.Write(th, a2, 1)

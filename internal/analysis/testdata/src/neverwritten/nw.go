@@ -1,4 +1,4 @@
-// Seeded violations for the neverwritten analyzer.
+// Seeded never-written result cells, checked by the mustwrite analyzer.
 package neverwritten
 
 import (
@@ -8,7 +8,7 @@ import (
 
 // missing never writes its second result cell: touching b deadlocks.
 func missing(t *core.Ctx) int {
-	a, b := core.Fork2(t, func(th *core.Ctx, a2, b2 *core.Cell[int]) { // want `never writes result cell parameter b2`
+	a, b := core.Fork2(t, func(th *core.Ctx, a2, b2 *core.Cell[int]) { // want `without writing result cell "b2"`
 		core.Write(th, a2, 1)
 		_ = core.Touch(th, b2)
 	})
@@ -17,7 +17,7 @@ func missing(t *core.Ctx) int {
 
 // blank discards the write capability outright.
 func blank(t *core.Ctx) int {
-	a, b := core.Fork2(t, func(th *core.Ctx, a2 *core.Cell[int], _ *core.Cell[int]) { // want `discards the write capability`
+	a, b := core.Fork2(t, func(th *core.Ctx, a2 *core.Cell[int], _ *core.Cell[int]) { // want `without writing result cell "_"`
 		core.Write(th, a2, 1)
 	})
 	_ = b
@@ -48,7 +48,7 @@ func writeLater(t *core.Ctx, c *core.Cell[int]) {
 
 // spawned never writes the second goroutine-runtime cell.
 func spawned() int {
-	a, b := future.Spawn2(func(x, y *future.Cell[int]) { // want `never writes result cell parameter y`
+	a, b := future.Spawn2(func(x, y *future.Cell[int]) { // want `without writing result cell "y"`
 		x.Write(1)
 		_ = y.Ready()
 	})

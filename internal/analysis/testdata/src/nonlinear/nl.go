@@ -1,4 +1,4 @@
-// Seeded violations for the nonlinear analyzer.
+// Seeded linearity violations, checked by the flowlinear analyzer.
 package nonlinear
 
 import "pipefut/internal/core"
@@ -8,17 +8,19 @@ import "pipefut/internal/core"
 func hotspot(t *core.Ctx, c *core.Cell[int], xs []int) int {
 	s := 0
 	for _, x := range xs {
-		s += x * core.Touch(t, c) // want `breaks the linearity restriction`
+		s += x * core.Touch(t, c) // want `cell "c" may already be touched`
 	}
 	return s
 }
 
-// constTrip re-reads under a constant trip count: a constant number of
-// touches only costs a constant factor, so no diagnostic.
+// constTrip re-reads under a constant trip count. A constant number of
+// touches only costs a constant factor, but linearity allows one touch
+// per cell whatever the trip count, so the second iteration's touch is
+// reported.
 func constTrip(t *core.Ctx, c *core.Cell[int]) int {
 	s := 0
 	for i := 0; i < 4; i++ {
-		s += core.Touch(t, c)
+		s += core.Touch(t, c) // want `cell "c" may already be touched`
 	}
 	return s
 }
@@ -47,8 +49,8 @@ func cursor(t *core.Ctx, c *core.Cell[*node]) int {
 func forkEach(t *core.Ctx, c *core.Cell[int], n int) []*core.Cell[int] {
 	out := make([]*core.Cell[int], 0, n)
 	for i := 0; i < n; i++ {
-		out = append(out, core.Fork1(t, func(th *core.Ctx) int {
-			return core.Touch(th, c) + 1 // want `breaks the linearity restriction`
+		out = append(out, core.Fork1(t, func(th *core.Ctx) int { // want `fork body may touch cell "c"`
+			return core.Touch(th, c) + 1
 		}))
 	}
 	return out

@@ -51,21 +51,17 @@ type scopeVisitor struct {
 }
 
 // scopeWalk walks the statements of one function body, tracking enclosing
-// conditionals and loops. If descendLits is false, nested function
-// literals are skipped (they are separate single-assignment scopes and
-// are walked on their own); if true, the walker descends into them with
-// the loop context preserved — a literal created inside a loop may run
-// once per iteration, which is what the nonlinear analyzer needs.
-func scopeWalk(info *types.Info, body *ast.BlockStmt, descendLits bool, v scopeVisitor) {
-	w := &walker{info: info, descendLits: descendLits, v: v}
+// conditionals and loops. Nested function literals are skipped: they are
+// separate single-assignment scopes and are walked on their own.
+func scopeWalk(info *types.Info, body *ast.BlockStmt, v scopeVisitor) {
+	w := &walker{info: info, v: v}
 	w.stmts(body.List)
 }
 
 type walker struct {
-	info        *types.Info
-	descendLits bool
-	v           scopeVisitor
-	ctx         callCtx
+	info *types.Info
+	v    scopeVisitor
+	ctx  callCtx
 }
 
 func (w *walker) stmts(list []ast.Stmt) {
@@ -202,8 +198,8 @@ func (w *walker) bind(e ast.Expr, at ast.Node) {
 	}
 }
 
-// expr scans an expression for call expressions, pruning (or descending
-// into) function literals.
+// expr scans an expression for call expressions, pruning function
+// literals.
 func (w *walker) expr(e ast.Expr) {
 	if e == nil {
 		return
@@ -211,9 +207,6 @@ func (w *walker) expr(e ast.Expr) {
 	ast.Inspect(e, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.FuncLit:
-			if w.descendLits {
-				w.stmts(n.Body.List)
-			}
 			return false
 		case *ast.CallExpr:
 			if w.v.call != nil {

@@ -73,9 +73,13 @@ var (
 	// closed. The request was not applied.
 	ErrDraining = errors.New("serve: draining, not admitting requests")
 	// ErrNotDurable fails a mutation whose log record a shard's store
-	// failed to write or fsync (or refused, once failed). The mutation
-	// may be visible in memory, but it may not survive a restart; the
-	// failed store refuses every later mutation the same way.
+	// failed to write or fsync (or refused, once failed); the failed
+	// store refuses every later mutation the same way. A refused record
+	// is never published, so that shard's piece is not visible. The
+	// outcome is still unknown in two cases: a flush that fails after
+	// its run was published leaves the piece visible in memory but
+	// perhaps lost on restart, and the other shards of a cross-shard
+	// mutation apply their pieces regardless.
 	ErrNotDurable = errors.New("serve: mutation not durable, shard log failed")
 )
 

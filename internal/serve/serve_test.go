@@ -341,8 +341,8 @@ func TestKeysConsistentCut(t *testing.T) {
 
 // TestNotDurableIsAnError drives the failure arm of the ack gate: once
 // a shard's store refuses records, a mutation touching that shard fails
-// with ErrNotDurable (HTTP 503) instead of being acked, and the other
-// shard keeps acking.
+// with ErrNotDurable (HTTP 503) instead of being acked, its piece there
+// is not published, and the other shard keeps acking.
 func TestNotDurableIsAnError(t *testing.T) {
 	s, err := Open(Config{P: 2, Shards: 2, Universe: 100, DataDir: t.TempDir(), Fsync: "always"})
 	if err != nil {
@@ -364,6 +364,11 @@ func TestNotDurableIsAnError(t *testing.T) {
 	}
 	if _, err := s.Apply(OpUnion, []int{72}); err != nil {
 		t.Errorf("Apply on the healthy shard: %v", err)
+	}
+	// A refused record publishes nothing: the failed shard's state and
+	// version stay where the last logged mutation left them.
+	if ok, v, err := s.Contains(6); err != nil || ok || v != 1 {
+		t.Errorf("Contains(6) after a refused union = %v at version %d (err %v), want false at version 1", ok, v, err)
 	}
 	rec := httptest.NewRecorder()
 	s.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/op", bytes.NewBufferString(`{"op":"union","keys":[7]}`)))

@@ -231,10 +231,13 @@ func (sh *shard) dispatch(run []shardReq) {
 			gate.arrive(nil)
 		}
 		if err := sh.store.Append(persist.Record{Seq: v, Kind: kindOf(op), Keys: merged}, durable); err != nil {
-			// A failed, closed or misused store refused the record; fail
-			// the requests rather than strand them.
-			gate.lost = err
+			// A failed, closed or misused store refused the record. Nothing
+			// was logged, so nothing is published either: the version stays
+			// where it was and the run's requests fail with the refusal.
+			gate.v, gate.lost = sh.version, err
+			gate.open.Store(1)
 			gate.arrive(nil)
+			return
 		}
 	}
 

@@ -14,13 +14,9 @@ package verdict
 //     interfaces and the scheduler, which the SSA-lite builder does not
 //     model, and an absence of findings over code the analyses cannot
 //     see is no verdict at all.
-//  2. flow.Summaries.Forwarded proves every touch waits on a
-//     synchronously-materialized cell → Forwarded. The verdict is
-//     relative to the entry contract (callers pass materialized cell
-//     arguments); the dynamic lane checks actual runs.
-//  3. No flowlinear diagnostic lands in any reachable function →
+//  2. No flowlinear diagnostic lands in any reachable function →
 //     Linear.
-//  4. Otherwise → General, carrying the first disqualifying finding.
+//  3. Otherwise → General, carrying the first disqualifying finding.
 
 import (
 	"fmt"
@@ -38,13 +34,12 @@ import (
 )
 
 // staticPkg is one source-loaded package with its SSA-lite program,
-// flowlinear diagnostics, and interprocedural summaries.
+// flowlinear diagnostics, and cell-allocation costs.
 type staticPkg struct {
 	name  string
 	fset  *token.FileSet
 	prog  *ssa.Program
 	diags []analysis.Diagnostic
-	sums  *flow.Summaries
 	costs *flow.CellCosts
 }
 
@@ -83,7 +78,6 @@ func loadPkg(root, name string) (*staticPkg, error) {
 		fset:  fset,
 		prog:  prog,
 		diags: diags,
-		sums:  flow.ComputeSummaries(prog),
 		costs: flow.ComputeCellCosts(prog),
 	}, nil
 }
@@ -256,15 +250,10 @@ func (sp *staticPkg) classify(spec string) (EntryVerdict, error) {
 			Detail: "no recognized cell operation reachable (cells flow through an opaque runtime interface)",
 		}, nil
 	}
-	fwdOK, fwdReason := sp.sums.Forwarded(fn)
-	if fwdOK {
-		return EntryVerdict{Class: Forwarded}, nil
-	}
-	if linear, finding := sp.linearVerdict(reach); linear {
-		return EntryVerdict{Class: Linear, Detail: "not forwarded: " + fwdReason}, nil
-	} else {
+	if linear, finding := sp.linearVerdict(reach); !linear {
 		return EntryVerdict{Class: General, Detail: finding}, nil
 	}
+	return EntryVerdict{Class: Linear}, nil
 }
 
 // entry finds the function named by spec: "Merge" for a package-level

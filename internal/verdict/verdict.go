@@ -1,20 +1,17 @@
 // Package verdict records pipelint's static flow analyses as a
 // checked-in manifest (verdicts.json, regenerated by `pipelint
 // -verdicts`). It assigns every verified algorithm entry point a flow
-// CLASS — how many touches of a future cell may happen before the
-// cell's write:
+// CLASS — how many times one future cell may be touched:
 //
-//	class      pre-write touches
+//	class      touches per cell
 //	general    unbounded
 //	linear     at most one
-//	forwarded  none
 //
-// The ladder is a real contract inclusion: every forwarded flow is a
-// legal linear flow, and every linear flow is a legal general flow, so
-// Meet (the weaker of two classes) is always a sound joint claim and
-// General is the always-sound fallback. Classes are static claims,
-// checked on recorded DAGs (CheckTrace); the running system consumes
-// only the manifest's seqsafe section, which gates
+// The ladder is a real contract inclusion: every linear flow is a legal
+// general flow, so Meet (the weaker of two classes) is always a sound
+// joint claim and General is the always-sound fallback. Classes are
+// static claims, checked on recorded DAGs (CheckTrace); the running
+// system consumes only the manifest's seqsafe section, which gates
 // paralg.RConfig.GrainCutoff through a copy in paralg (its seqSafe
 // table, held equal to the manifest by TestSeqSafeTable) so that the
 // server does not link this package.
@@ -51,17 +48,14 @@ const (
 	// General claims nothing: any number of touches may precede a cell's
 	// write. Always sound.
 	General Class = "general"
-	// Linear claims at most one touch of each cell before its write
-	// (flowlinear's verdict — at most one touch per cell on any path).
+	// Linear claims at most one touch of each cell (flowlinear's
+	// verdict — at most one touch per cell on any path).
 	Linear Class = "linear"
-	// Forwarded claims every touch of each cell happens after the cell's
-	// write (the mustwrite-derived synchronous-materialization verdict).
-	Forwarded Class = "forwarded"
 )
 
 // rank orders the claiming classes by contract strength; the flows a
 // higher rank admits are a subset of those a lower rank admits.
-var rank = map[Class]int{General: 0, Linear: 1, Forwarded: 2}
+var rank = map[Class]int{General: 0, Linear: 1}
 
 // ParseClass validates a manifest class string.
 func ParseClass(s string) (Class, error) {
@@ -191,8 +185,8 @@ type CellBudget struct {
 // EntryVerdict is one entry point's manifest record.
 type EntryVerdict struct {
 	Class Class `json:"class"`
-	// Detail explains the classification: why a linear entry is not
-	// forwarded, or the first finding that demoted a general entry.
+	// Detail explains the classification: the first finding that
+	// demoted a general entry, or why an entry is unanalyzed.
 	Detail string `json:"detail,omitempty"`
 }
 
@@ -239,11 +233,6 @@ func Golden() *Manifest { return golden }
 // returning a descriptive error when it does not. This is the dynamic
 // half of the manifest's claims: verifycross runs it for every witness
 // group against the group's manifest class.
-//
-// Note Forwarded does NOT imply the Linearity check: a forwarded flow
-// may touch a written cell many times (post-write touches are
-// unrestricted in every class); its claim is only that no touch
-// precedes the write.
 func CheckTrace(c Class, tr *trace.Trace) error {
 	switch c {
 	case Linear:
@@ -251,12 +240,6 @@ func CheckTrace(c Class, tr *trace.Trace) error {
 		if !l.Linear() {
 			return fmt.Errorf("claimed linear, but the recorded DAG touches %d cell(s) more than once (max %d touches; cells %v)",
 				len(l.MultiTouched), l.MaxTouches, sample(l.MultiTouched))
-		}
-	case Forwarded:
-		f := tr.Forwarding()
-		if !f.Forwarded() {
-			return fmt.Errorf("claimed forwarded, but %d of %d touched cell(s) have a touch not ordered after the cell's write (cells %v)",
-				len(f.EarlyTouched), f.TouchedCells, sample(f.EarlyTouched))
 		}
 	case General, Unanalyzed:
 		// No claim to check.

@@ -20,11 +20,10 @@ var update = flag.Bool("update", false, "rewrite verdicts.json from the current 
 func TestMeet(t *testing.T) {
 	cases := []struct{ a, b, want Class }{
 		{General, Linear, General},
-		{Linear, Forwarded, Linear},
-		{Forwarded, Forwarded, Forwarded},
+		{Linear, Linear, Linear},
 		{Unanalyzed, Linear, Linear},
 		{Unanalyzed, Unanalyzed, Unanalyzed},
-		{"", Forwarded, Forwarded},
+		{"", Linear, Linear},
 		{General, Unanalyzed, General},
 	}
 	for _, c := range cases {
@@ -38,20 +37,23 @@ func TestMeet(t *testing.T) {
 }
 
 func TestParseClass(t *testing.T) {
-	for _, s := range []string{"general", "linear", "forwarded", "unanalyzed"} {
+	for _, s := range []string{"general", "linear", "unanalyzed"} {
 		if _, err := ParseClass(s); err != nil {
 			t.Errorf("ParseClass(%q): %v", s, err)
 		}
 	}
-	if _, err := ParseClass("superlinear"); err == nil {
-		t.Error("ParseClass accepted an unknown class")
+	// A manifest still carrying the removed "forwarded" class must not
+	// parse.
+	for _, s := range []string{"superlinear", "forwarded"} {
+		if _, err := ParseClass(s); err == nil {
+			t.Errorf("ParseClass accepted the unknown class %q", s)
+		}
 	}
 }
 
 // pipelinedTrace records a fork whose result cell the main thread
 // touches with only a data edge ordering it after the write (in
-// schedule terms the touch races the write): a legal linear flow that
-// is NOT forwarded.
+// schedule terms the touch races the write): a legal linear flow.
 func pipelinedTrace() *trace.Trace {
 	tr := trace.New()
 	root := tr.Root()
@@ -64,8 +66,8 @@ func pipelinedTrace() *trace.Trace {
 	return tr
 }
 
-// doubleTouchTrace touches one cell twice, both control-after the
-// write: not linear, yet forwarded.
+// doubleTouchTrace touches one cell twice, both after the write: not
+// linear.
 func doubleTouchTrace() *trace.Trace {
 	tr := trace.New()
 	root := tr.Root()
@@ -83,20 +85,12 @@ func TestCheckTrace(t *testing.T) {
 	if err := CheckTrace(Linear, pipelined); err != nil {
 		t.Errorf("CheckTrace(linear, pipelined single-touch trace): %v", err)
 	}
-	if err := CheckTrace(Forwarded, pipelined); err == nil {
-		t.Error("CheckTrace(forwarded) accepted a pipelined trace whose touch races the write")
-	} else if !strings.Contains(err.Error(), "forwarded") {
-		t.Errorf("forwarded rejection should name the claim: %v", err)
-	}
 
 	double := doubleTouchTrace()
 	if err := CheckTrace(Linear, double); err == nil {
 		t.Error("CheckTrace(linear) accepted a double-touched cell")
-	}
-	// Both touches are control-after the write: forwarded holds even
-	// though linear does not — the classes are incomparable dynamically.
-	if err := CheckTrace(Forwarded, double); err != nil {
-		t.Errorf("CheckTrace(forwarded, post-write double touch): %v", err)
+	} else if !strings.Contains(err.Error(), "linear") {
+		t.Errorf("linear rejection should name the claim: %v", err)
 	}
 
 	if err := CheckTrace(General, double); err != nil {

@@ -5,8 +5,11 @@ import (
 	"testing"
 
 	"pipefut/internal/core"
+	"pipefut/internal/costalg"
+	"pipefut/internal/seqtree"
 	"pipefut/internal/trace"
 	"pipefut/internal/verdict"
+	"pipefut/internal/workload"
 )
 
 // This file is the dynamic leg of the verdict manifest: the manifest
@@ -53,8 +56,8 @@ func TestManifestGroupsMirrorCases(t *testing.T) {
 // golden manifest claims for the group. The group class is the meet
 // over its analyzed members, and the unanalyzed RConfig ports inherit
 // it — so a pass here is a dynamic witness for every member's claim.
-// Entry-level classes above the meet (e.g. a forwarded helper inside a
-// linear group) are not separately checkable against the shared group
+// Entry-level classes above the meet (e.g. a linear helper inside a
+// general group) are not separately checkable against the shared group
 // trace and are covered statically by the generator.
 func TestManifestClaims(t *testing.T) {
 	golden := verdict.Golden()
@@ -99,37 +102,41 @@ func TestMisTaggedClassFailsClosed(t *testing.T) {
 	}
 
 	// A pipelined touch — the toucher is not control-downstream of the
-	// writer — is linear but not forwarded.
+	// writer — touches its cell once: linear.
 	pipelined := record(func(ctx *core.Ctx, eng *core.Engine) {
 		c := core.Fork1(ctx, func(t *core.Ctx) int { return 1 })
 		core.Touch(ctx, c)
 	})
-	if err := verdict.CheckTrace(verdict.Forwarded, pipelined); err == nil {
-		t.Error("claiming forwarded on a pipelined touch must fail closed")
-	}
 	if err := verdict.CheckTrace(verdict.Linear, pipelined); err != nil {
 		t.Errorf("the single-touch flow is linear, got: %v", err)
 	}
 }
 
 // TestStrongerClaimThanRealTraceFailsClosed runs the same check against
-// a real algorithm: merge's recorded DAG is linear but pipelined, so a
-// (hypothetical, mis-tagged) forwarded claim for the merge group must
-// be rejected by the exact code path TestManifestClaims relies on.
+// a real algorithm: merge's result tree handed to two further merges has
+// each of its cells touched twice, so a (mis-tagged) linear claim for
+// that flow must be rejected by the exact code path TestManifestClaims
+// relies on.
 func TestStrongerClaimThanRealTraceFailsClosed(t *testing.T) {
-	for _, c := range algCases {
-		if c.name != "merge" {
-			continue
-		}
-		tr := record(c.run)
-		if err := verdict.CheckTrace(verdict.Forwarded, tr); err == nil {
-			t.Error("merge's pipelined trace must reject a forwarded claim")
-		} else {
-			t.Logf("forwarded claim rejected as expected: %v", err)
-		}
-		return
+	tr := record(func(ctx *core.Ctx, eng *core.Engine) {
+		rng := workload.NewRNG(7)
+		ka, kb := workload.DisjointKeySets(rng, algN, algN)
+		sort.Ints(ka)
+		sort.Ints(kb)
+		r := costalg.Merge(ctx,
+			costalg.FromSeqTree(eng, seqtree.FromSortedBalanced(ka)),
+			costalg.FromSeqTree(eng, seqtree.FromSortedBalanced(kb)))
+		costalg.CompletionTime(costalg.Merge(ctx, r, costalg.FromSeqTree(eng, nil)))
+		costalg.CompletionTime(costalg.Merge(ctx, r, costalg.FromSeqTree(eng, nil)))
+	})
+	if err := trace.Verify(tr); err != nil {
+		t.Fatalf("trace.Verify: %v", err)
 	}
-	t.Fatal("no merge case in algCases")
+	if err := verdict.CheckTrace(verdict.Linear, tr); err == nil {
+		t.Error("a merge result consumed twice must reject a linear claim")
+	} else {
+		t.Logf("linear claim rejected as expected: %v", err)
+	}
 }
 
 func sameStringSet(a, b []string) bool {
